@@ -34,7 +34,6 @@ from .cubicforms import (
     is_irreducible,
     is_maximal,
     merge_tabulations,
-    tabulation_to_csv,
 )
 from .reflection import (
     Corollary5Report,
@@ -85,7 +84,6 @@ __all__ = [
     "enumerate_cubic_fields",
     "merge_tabulations",
     "count_N3",
-    "tabulation_to_csv",
     "FieldDiscriminant",
     "PredictionRecord",
     "OnVerification",

@@ -8,39 +8,42 @@ covers any stray large cofactor, so repeated runs always agree.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import gcd, isqrt
 
 _TRIAL_LIMIT = 10**6
 
-# Grown on demand; holds the longest prime list computed so far.
-_prime_cache: list[int] = []
-_prime_cache_limit = 0
+# Grown on demand: _spf[n] is the smallest prime factor of n for
+# 2 <= n < len(_spf), and _primes lists the primes below _primes_end,
+# read off _spf only as far as callers ask.
+_spf = array("I")
+_primes: list[int] = []
+_primes_end = 0
+
+
+def smallest_prime_factors(limit: int) -> array:
+    """Shared sieve table t with t[n] the smallest prime factor of n for
+    every 2 <= n <= limit; the table may extend past limit."""
+    global _spf
+    if limit >= len(_spf):
+        n = max(limit, 2 * len(_spf), 1 << 10)
+        _spf = array("I", range(n + 1))
+        # descending, so each entry ends up holding its smallest factor
+        for p in range(isqrt(n), 1, -1):
+            _spf[p * p :: p] = array("I", [p]) * ((n - p * p) // p + 1)
+    return _spf
 
 
 def primes_up_to(limit: int) -> list[int]:
-    """All primes <= limit, via a shared incrementally grown sieve."""
-    global _prime_cache, _prime_cache_limit
-    if limit > _prime_cache_limit:
-        span = max(limit, 2 * _prime_cache_limit, 1 << 10)
-        sieve = bytearray([1]) * (span + 1)
-        sieve[0:2] = b"\x00\x00"
-        for p in range(2, isqrt(span) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-        _prime_cache = [i for i in range(span + 1) if sieve[i]]
-        _prime_cache_limit = span
-    # bisect is overkill; callers tolerate a slightly longer list
-    if _prime_cache and _prime_cache[-1] <= limit:
-        return _prime_cache
-    lo, hi = 0, len(_prime_cache)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _prime_cache[mid] <= limit:
-            lo = mid + 1
-        else:
-            hi = mid
-    return _prime_cache[:lo]
+    """All primes <= limit, read off the shared sieve table."""
+    global _primes, _primes_end
+    if limit >= _primes_end:
+        spf = smallest_prime_factors(limit)
+        _primes_end = min(len(spf), max(limit + 1, 2 * _primes_end))
+        _primes = [n for n in range(2, _primes_end) if spf[n] == n]
+    return _primes[: bisect_right(_primes, limit)]
 
 
 def is_prime(n: int) -> bool:

@@ -19,7 +19,7 @@ from .arith import fundamental_discriminants_in
 from .cubicforms import enumerate_cubic_fields
 from .fieldtables import compare_with_table, parse_field_table
 from .quadforms import class_group
-from .reflection import corollary5_predict, predict, verify_on3
+from .reflection import Corollary5Report, corollary5_predict, predict, verify_on3
 
 _COMMANDS = ("classgroup", "cubic-tab", "verify-on", "predict", "corollary5", "check-table")
 
@@ -117,9 +117,16 @@ def _build_parser() -> _Parser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    workers = getattr(args, "workers", None)
+    # only cubic-tab and verify-on take --workers; it defaults to None there
+    workers = getattr(args, "workers", 1)
     if workers is None:
-        workers = int(os.environ.get("REFLECTRON_WORKERS", "1"))
+        text = os.environ.get("REFLECTRON_WORKERS", "1")
+        try:
+            workers = int(text)
+        except ValueError:
+            workers = 0
+        if workers < 1:
+            raise _UsageError(f"REFLECTRON_WORKERS must be a positive integer, got {text!r}")
     if args.command == "check-table" and not args.corollary5 and args.ell is None:
         raise _UsageError("check-table needs --ell (or --corollary5)")
     if getattr(args, "corollary5", False):
@@ -236,7 +243,7 @@ def _predictions(config: RunConfig):
 
 def _prediction_row(pred, format: str) -> dict:
     targets = [{"r2": fd.r2, "disc": _signed(fd)} for fd in pred.targets]
-    if hasattr(pred, "d"):
+    if isinstance(pred, Corollary5Report):
         row = {"ell": 5, "D": pred.d, "lhs": pred.lhs_value, "targets": targets}
     else:
         row = {

@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from math import ceil, floor, gcd, isqrt
 
-from .arith import factorize
+from .arith import factorize, smallest_prime_factors
 
 _SIGNS = (-1, 0, 1)
 
@@ -150,23 +150,8 @@ def is_maximal(f: CubicForm) -> bool:
 # ---------------------------------------------------------------------------
 # enumeration, positive discriminant
 
-_spf_cache: dict[int, list[int]] = {}
 
-
-def _spf(limit: int) -> list[int]:
-    tab = _spf_cache.get(limit)
-    if tab is None:
-        tab = list(range(limit + 1))
-        for p in range(2, isqrt(limit) + 1):
-            if tab[p] == p:
-                for m in range(p * p, limit + 1, p):
-                    if tab[m] == m:
-                        tab[m] = p
-        _spf_cache[limit] = tab
-    return tab
-
-
-def _square_primes(n: int, spf: list[int]) -> list[int]:
+def _square_primes(n: int, spf) -> list[int]:
     out = []
     while n > 1:
         p = spf[n]
@@ -218,14 +203,17 @@ def _canonical_real(a: int, b: int, c: int, d: int) -> bool:
     return True
 
 
+def _real_amax(xmax: int) -> int:
+    return isqrt(4 * isqrt(xmax) // 27) + 2
+
+
 def _real_shard(
     xmin: int, xmax: int, nshards: int, shard: int, counts: dict[int, int]
 ) -> None:
     rx = isqrt(xmax)
     q4 = isqrt(rx) + 2
-    amax = isqrt(4 * rx // 27) + 2
-    spf = _spf(xmax)
-    for a in range(1 + shard, amax + 1, nshards):
+    spf = smallest_prime_factors(xmax)
+    for a in range(1 + shard, _real_amax(xmax) + 1, nshards):
         ta = 3 * a
         na = 9 * a
         bmax = 3 * a // 2 + q4
@@ -313,12 +301,15 @@ def _d_window(
     return floor(min(vals)) - 3, ceil(max(vals)) + 3
 
 
+def _complex_amax(xmax: int) -> int:
+    return int((16 * xmax / 27) ** 0.25) + 2
+
+
 def _complex_shard(
     xmin: int, xmax: int, nshards: int, shard: int, counts: dict[int, int]
 ) -> None:
-    amax = int((16 * xmax / 27) ** 0.25) + 2
-    spf = _spf(xmax)
-    for a in range(1 + shard, amax + 1, nshards):
+    spf = smallest_prime_factors(xmax)
+    for a in range(1 + shard, _complex_amax(xmax) + 1, nshards):
         tmax = (4 * xmax / 3) ** 0.25 / a + 0.01
         qmax = ((16 * a * a * xmax) ** (1 / 3) + a * a) / (4 * a) + 0.01
         bmax = int(a + a * tmax) + 2
@@ -385,6 +376,8 @@ def enumerate_cubic_fields(
 
     The result is independent of the worker count: shards split the
     leading coefficient by residue and canonicity is decided per form.
+    Workers beyond the number of leading coefficients walked would get
+    empty shards, so the shard count is capped there.
     """
     if xmin < 0 or xmax < xmin:
         raise ValueError("window must satisfy 0 <= xmin <= xmax")
@@ -392,11 +385,13 @@ def enumerate_cubic_fields(
         raise ValueError("sign must be -1, 0 or 1")
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    jobs = [(xmin, xmax, sign, workers, s) for s in range(workers)]
-    if workers == 1:
+    # the negative side always walks at least as many a as the positive
+    nshards = min(workers, _real_amax(xmax) if sign > 0 else _complex_amax(xmax))
+    jobs = [(xmin, xmax, sign, nshards, s) for s in range(nshards)]
+    if nshards == 1:
         parts = [_enumerate_shard(jobs[0])]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=nshards) as pool:
             parts = list(pool.map(_enumerate_shard, jobs))
     counts: dict[int, int] = {}
     for part in parts:
@@ -435,11 +430,3 @@ def count_N3(tab: CubicTabulation, disc: int) -> int:
     if not tab.xmin < abs(disc) <= tab.xmax:
         raise ValueError(f"{disc} is outside the tabulated window")
     return tab.counts.get(disc, 0)
-
-
-def tabulation_to_csv(tab: CubicTabulation) -> str:
-    """Render counts as csv with header disc,count, ordered by |disc|."""
-    lines = ["disc,count"]
-    for disc in sorted(tab.counts, key=lambda t: (abs(t), t)):
-        lines.append(f"{disc},{tab.counts[disc]}")
-    return "\n".join(lines) + "\n"

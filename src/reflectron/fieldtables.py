@@ -15,7 +15,6 @@ import csv
 import io
 from dataclasses import dataclass
 
-from .arith import Factorization, factorize
 from .reflection import Corollary5Report, FieldDiscriminant, PredictionRecord
 
 _HEADER = "label,degree,r2,disc,galois"
@@ -23,12 +22,13 @@ _HEADER = "label,degree,r2,disc,galois"
 
 @dataclass(frozen=True)
 class FieldTableEntry:
-    """One table row: a labelled field with its discriminant datum."""
+    """One table row: a labelled field with its discriminant datum, the
+    magnitude kept as the plain int |disc| since it is only compared."""
 
     label: str
     degree: int
     r2: int
-    disc_magnitude: Factorization
+    disc_magnitude: int
     galois_label: str
 
     def __post_init__(self) -> None:
@@ -36,7 +36,7 @@ class FieldTableEntry:
             raise ValueError("degree must be positive")
         if self.r2 < 0 or 2 * self.r2 > self.degree:
             raise ValueError(f"r2 = {self.r2} is impossible in degree {self.degree}")
-        if self.disc_magnitude.sign != 1:
+        if self.disc_magnitude < 1:
             raise ValueError("disc magnitude must be positive")
 
 
@@ -68,10 +68,8 @@ def parse_field_table(stream) -> list[FieldTableEntry]:
             degree, r2, disc = int(degree_text), int(r2_text), int(disc_text)
         except ValueError:
             raise ValueError(f"line {line}: degree, r2, disc must be integers") from None
-        if disc == 0:
-            raise ValueError(f"line {line}: disc must be nonzero")
         try:
-            entry = FieldTableEntry(label, degree, r2, factorize(abs(disc)), galois)
+            entry = FieldTableEntry(label, degree, r2, abs(disc), galois)
         except ValueError as err:
             raise ValueError(f"line {line}: {err}") from None
         entries.append(entry)
@@ -79,15 +77,16 @@ def parse_field_table(stream) -> list[FieldTableEntry]:
 
 
 def _matching_labels(
-    entries: list[FieldTableEntry], fd: FieldDiscriminant, galois_label: str
+    entries: list[FieldTableEntry], fd: FieldDiscriminant, magnitude: int, galois_label: str
 ) -> set[str]:
+    # magnitude is fd.magnitude.value(), passed in so callers compute it once
     return {
         e.label
         for e in entries
-        if e.degree == fd.degree
+        if e.disc_magnitude == magnitude
+        and e.degree == fd.degree
         and e.r2 == fd.r2
         and e.galois_label == galois_label
-        and e.disc_magnitude == fd.magnitude
     }
 
 
@@ -96,7 +95,7 @@ def count_matching(
 ) -> int:
     """Number of distinct labels matching the discriminant datum exactly:
     degree, r2, magnitude, and Galois label must all agree."""
-    return len(_matching_labels(entries, fd, galois_label))
+    return len(_matching_labels(entries, fd, fd.magnitude.value(), galois_label))
 
 
 @dataclass(frozen=True)
@@ -156,13 +155,14 @@ def compare_with_table(
     if entries and all(e.degree != targets[0].degree for e in entries):
         raise ValueError(f"table has no degree-{targets[0].degree} entries")
     galois = _galois_label_for(ell)
+    magnitudes = [fd.magnitude.value() for fd in targets]
     matched: set[str] = set()
-    for fd in targets:
-        matched |= _matching_labels(entries, fd, galois)
+    for fd, magnitude in zip(targets, magnitudes):
+        matched |= _matching_labels(entries, fd, magnitude, galois)
     observed = len(matched)
     note = ""
     if exact and assume_complete_below is not None:
-        beyond = [fd for fd in targets if fd.magnitude.value() > assume_complete_below]
+        beyond = [m for m in magnitudes if m > assume_complete_below]
         if beyond:
             exact = False
             note = f"{len(beyond)} of {len(targets)} targets exceed the completeness bound"

@@ -333,7 +333,8 @@ def class_group(d: int) -> ClassGroupStructure:
             qk = q**k
             cnt = sum(1 for f in grp.reps if grp.power(f, qk) == grp.identity)
             m = _log_int(cnt, q)
-            assert q**m == cnt, "torsion count is not a power of q"
+            if q**m != cnt:
+                raise ArithmeticError(f"{q}-torsion count {cnt} is not a power of {q}")
             ms.append(m)
             if m == e:
                 break
@@ -361,5 +362,6 @@ def ell_rank(d: int, ell: int) -> int:
     grp = _group_for(d)
     cnt = sum(1 for f in grp.reps if grp.power(f, ell) == grp.identity)
     r = _log_int(cnt, ell)
-    assert ell**r == cnt, "ell-torsion count is not a power of ell"
+    if ell**r != cnt:
+        raise ArithmeticError(f"{ell}-torsion count {cnt} is not a power of {ell}")
     return r

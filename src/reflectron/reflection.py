@@ -63,13 +63,29 @@ def _check_ell(ell: int) -> None:
         raise ValueError(f"{ell} is not an odd prime")
 
 
+def _check_quadratic(D: int) -> None:
+    if D == 1 or not is_fundamental_discriminant(D):
+        raise ValueError(f"{D} is not the discriminant of a quadratic field")
+
+
 def _check_disc(ell: int, D: int) -> None:
     # the identities and the mirror construction exclude the trivial
     # discriminant and the quadratic field of conductor ell itself
-    if not is_fundamental_discriminant(D):
-        raise ValueError(f"{D} is not a fundamental discriminant")
-    if D in (1, ell, -ell):
+    _check_quadratic(D)
+    if D in (ell, -ell):
         raise ValueError(f"D = {D} is excluded for ell = {ell}")
+
+
+def _reflected_disc(ell: int, D: int, k: int, degree: int) -> FieldDiscriminant:
+    # magnitude ell^v * |D|_ell'^((ell-1)/2): the prime-to-ell part of D
+    # raised to (ell-1)/2, and ell-adic valuation v = ell - 2 + k, one
+    # less in the tame case ell | D with ell = 3 mod 4; totally real
+    # exactly when D < 0
+    half = (ell - 1) // 2
+    v = ell - 3 + k if D % ell == 0 and ell % 4 == 3 else ell - 2 + k
+    away = factorize(abs(D)).without_prime(ell).power(half)
+    magnitude = Factorization.from_exponents(1, {ell: v}) * away
+    return FieldDiscriminant(0 if D < 0 else half, magnitude, degree)
 
 
 def mirror_disc(ell: int, D: int) -> FieldDiscriminant:
@@ -82,13 +98,7 @@ def mirror_disc(ell: int, D: int) -> FieldDiscriminant:
     """
     _check_ell(ell)
     _check_disc(ell, D)
-    half = (ell - 1) // 2
-    away = factorize(abs(D)).without_prime(ell).power(half)
-    # wild ramification contributes ell - 2 except when ell | D with
-    # ell = 3 mod 4, where ramification at ell is tame
-    v = ell - 2 if (D % ell or ell % 4 == 1) else ell - 3
-    magnitude = Factorization.from_exponents(1, {ell: v}) * away
-    return FieldDiscriminant(0 if D < 0 else half, magnitude, ell - 1)
+    return _reflected_disc(ell, D, 0, ell - 1)
 
 
 def _exact_root(f: Factorization, k: int) -> int | None:
@@ -142,8 +152,7 @@ def dl_disc(ell: int, D: int) -> FieldDiscriminant:
     real when D > 0 and r2 = (ell-1)/2 complex pairs when D < 0.
     """
     _check_ell(ell)
-    if D == 1 or not is_fundamental_discriminant(D):
-        raise ValueError(f"{D} is not the discriminant of a quadratic field")
+    _check_quadratic(D)
     half = (ell - 1) // 2
     return FieldDiscriminant(half if D < 0 else 0, factorize(abs(D)).power(half), ell)
 
@@ -156,8 +165,7 @@ def count_Dl(ell: int, D: int) -> int:
     the ell-rank.
     """
     _check_ell(ell)
-    if D == 1 or not is_fundamental_discriminant(D):
-        raise ValueError(f"{D} is not the discriminant of a quadratic field")
+    _check_quadratic(D)
     return (ell ** ell_rank(D, ell) - 1) // (ell - 1)
 
 
@@ -184,16 +192,9 @@ def fl_disc_from_conductor(ell: int, D: int, k: int) -> FieldDiscriminant | None
     """
     if k not in admissible_conductor_exponents(ell, D):
         raise ValueError(f"conductor exponent {k} is not admissible for ({ell}, {D})")
-    if D % ell == 0 and ell % 4 == 3:
-        if k == 2:
-            return None
-        v = ell - 3 + k
-    else:
-        v = ell - 2 + k
-    half = (ell - 1) // 2
-    away = factorize(abs(D)).without_prime(ell).power(half)
-    magnitude = Factorization.from_exponents(1, {ell: v}) * away
-    return FieldDiscriminant(0 if D < 0 else half, magnitude, ell)
+    if k == 2 and D % ell == 0 and ell % 4 == 3:
+        return None
+    return _reflected_disc(ell, D, k, ell)
 
 
 def target_discs(ell: int, D: int) -> tuple[FieldDiscriminant, FieldDiscriminant]:
@@ -205,7 +206,8 @@ def target_discs(ell: int, D: int) -> tuple[FieldDiscriminant, FieldDiscriminant
         if fd is not None:
             found.append(fd)
     # one admissible exponent drops out in the tame case, never two
-    assert len(found) == 2
+    if len(found) != 2:
+        raise ArithmeticError(f"({ell}, {D}) gives {len(found)} target discriminants, not 2")
     return found[0], found[1]
 
 
@@ -287,16 +289,11 @@ def corollary5_predict(d: int) -> Corollary5Report:
     those targets exact with no side condition.  The left side is the
     plain sum for d < 0 and five times it plus two for d > 0.
     """
-    if d == 1 or not is_fundamental_discriminant(d):
-        raise ValueError(f"{d} is not the discriminant of a quadratic field")
+    _check_quadratic(d)
     if d % 5 == 0:
         raise ValueError(f"d = {d} is not coprime to 5")
     total = count_Dl(5, d) + count_Dl(5, 5 * d)
     lhs = total if d < 0 else 5 * total + 2
-    r2 = 0 if d < 0 else 2
-    square = factorize(abs(d)).power(2)
-    targets = tuple(
-        FieldDiscriminant(r2, Factorization.from_exponents(1, {5: v}) * square, 5)
-        for v in (3, 5, 7)
-    )
+    # magnitudes 5^3 d^2, 5^5 d^2, 5^7 d^2
+    targets = tuple(_reflected_disc(5, d, k, 5) for k in (0, 2, 4))
     return Corollary5Report(d, lhs, targets)

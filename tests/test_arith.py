@@ -8,6 +8,7 @@ from reflectron.arith import (
     is_fundamental_discriminant,
     is_prime,
     primes_up_to,
+    smallest_prime_factors,
     smallest_primitive_root,
     squarefree,
 )
@@ -19,6 +20,17 @@ def test_primes_up_to():
     assert primes_up_to(0) == []
     longer = primes_up_to(10**4)
     assert len(longer) == 1229 and longer[-1] == 9973
+
+
+def test_smallest_prime_factors():
+    spf = smallest_prime_factors(5000)
+    assert len(spf) > 5000
+    for n in range(2, 5001):
+        assert spf[n] == factorize(n).factors[0][0]
+    # a larger request regrows the shared table; primes read off it agree
+    assert len(smallest_prime_factors(10**5)) > 10**5
+    assert len(primes_up_to(10**5)) == 9592
+    assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
 def test_is_prime_small():

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -179,6 +180,34 @@ def test_check_table_csv_columns(capsys):
         "mode,ell,D,expected,observed,verdict\n"
         "exact,5,-47,1,1,pass\n"
     )
+
+
+def test_check_table_huge_disc_is_not_factored(capsys, tmp_path):
+    # a semiprime of two Mersenne primes, far beyond trial division; the
+    # row only has to be compared, so it must not stall the check
+    table = tmp_path / "huge.csv"
+    disc = (2**61 - 1) * (2**89 - 1)
+    table.write_text(f"label,degree,r2,disc,galois\nbig,5,0,{disc},F5\n")
+    start = time.perf_counter()
+    code, out = run_main(
+        capsys,
+        ["check-table", "--table", str(table), "--corollary5", "--d", "-47",
+         "--format", "csv"],
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == "mode,ell,D,expected,observed,verdict\nexact,5,-47,1,0,fail\n"
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
+def test_bad_workers_env_exits_1(capsys, monkeypatch, value):
+    monkeypatch.setenv("REFLECTRON_WORKERS", value)
+    assert main(["cubic-tab", "--xmax", "100"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: REFLECTRON_WORKERS")
+    # commands that start no workers ignore the variable
+    assert main(["classgroup", "--d", "-23"]) == 0
 
 
 def test_workers_do_not_change_output(capsys, tmp_path, monkeypatch):

@@ -3,6 +3,8 @@ import sympy
 from sympy.abc import x
 from sympy.polys.numberfields.basis import round_two
 
+from reflectron import cubicforms
+from reflectron.cli import main
 from reflectron.cubicforms import (
     CubicForm,
     CubicTabulation,
@@ -12,7 +14,6 @@ from reflectron.cubicforms import (
     is_irreducible,
     is_maximal,
     merge_tabulations,
-    tabulation_to_csv,
 )
 
 
@@ -154,6 +155,37 @@ def test_enumeration_worker_independence():
     )
 
 
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps
+    in this process, so no worker is ever started."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+def test_enumeration_caps_shards_at_leading_coefficients(monkeypatch):
+    monkeypatch.setattr(cubicforms, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    for sign in (0, 1):
+        serial = enumerate_cubic_fields(2000, sign).counts
+        assert enumerate_cubic_fields(2000, sign, workers=64).counts == serial
+    # at X = 2000 the negative side walks a <= 7, the positive side a <= 4
+    assert _InProcessPool.sizes == [7, 4]
+    # the 19 leading coefficients of the negative side at X = 160000
+    assert cubicforms._complex_amax(160000) == 19
+
+
 def test_enumeration_validation():
     with pytest.raises(ValueError):
         enumerate_cubic_fields(-1, 0)
@@ -193,16 +225,21 @@ def test_count_n3_errors():
         count_N3(tab, -501)  # beyond the window
 
 
-def test_tabulation_to_csv():
+def test_tabulation_to_csv(capsys):
+    # the cubic-tab report is the one CSV writer of a tabulation
     tab = enumerate_cubic_fields(100, 0)
-    text = tabulation_to_csv(tab)
+    assert main(["cubic-tab", "--xmax", "100"]) == 0
+    text = capsys.readouterr().out
     lines = text.splitlines()
     assert lines[0] == "disc,count"
     assert lines[1] == "-23,1"
     assert lines[-1] == "-87,1"
     assert text.endswith("\n")
-    magnitudes = [abs(int(line.split(",")[0])) for line in lines[1:]]
-    assert magnitudes == sorted(magnitudes)
+    rows = [tuple(map(int, line.split(","))) for line in lines[1:]]
+    assert dict(rows) == tab.counts
+    # rows are ordered by (|disc|, disc)
+    discs = [disc for disc, _ in rows]
+    assert discs == sorted(discs, key=lambda t: (abs(t), t))
 
 
 def test_tabulation_validation():

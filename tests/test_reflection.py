@@ -1,5 +1,6 @@
 import pytest
 
+from reflectron import reflection
 from reflectron.arith import Factorization, factorize, fundamental_discriminants_in
 from reflectron.cubicforms import enumerate_cubic_fields
 from reflectron.quadforms import ell_rank
@@ -174,6 +175,13 @@ def test_targets_translate_at_ell_3():
         lo, hi = target_discs(3, D)
         assert lo.signed_value() == dstar, D
         assert hi.signed_value() == -27 * D, D
+
+
+def test_target_discs_rejects_a_third_target(monkeypatch):
+    # conductor exponents 0, 2, 4 would all yield fields at (5, -47)
+    monkeypatch.setattr(reflection, "admissible_conductor_exponents", lambda ell, D: {0, 2, 4})
+    with pytest.raises(ArithmeticError, match="3 target discriminants"):
+        target_discs(5, -47)
 
 
 def test_predict_golden():
