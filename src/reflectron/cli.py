@@ -32,6 +32,10 @@ _DEFAULT_FORMAT = {
     "check-table": "json",
 }
 
+# far above any core count the enumeration can use; a larger value is a
+# typo, and each worker is a process with its own sieve
+_MAX_WORKERS = 256
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -52,8 +56,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.command not in _COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
+        if not 1 <= self.workers <= _MAX_WORKERS:
+            raise ValueError(
+                f"workers must be between 1 and {_MAX_WORKERS}, got {self.workers}"
+            )
         for name in ("dmax", "xmax", "assume_complete_below"):
             bound = getattr(self, name)
             if bound is not None and bound < 1:

@@ -1,17 +1,21 @@
 """Binary quadratic forms and class groups of quadratic fields.
 
 Forms (a, b, c) of discriminant D = b^2 - 4ac are composed with the
-classical Dirichlet method and reduced with Gauss reduction (definite
-case) or the cycle-walk reduction (indefinite case).  For D > 0 the form
-class group under composition is the narrow class group; its odd part
-agrees with the odd part of the ordinary class group, which is all the
-reflection machinery upstream ever consumes.
+classical Dirichlet method, which needs only extended gcds (no
+factoring), and reduced with Gauss reduction (definite case) or the
+cycle-walk reduction (indefinite case).  For D > 0 a class group walks
+every reduction cycle once and keeps a table from each reduced form to
+its cycle's minimum, so the class of a product is one reduction and one
+lookup.  There the form class group under composition is the narrow
+class group; its odd part agrees with the odd part of the ordinary
+class group, which is all the reflection machinery upstream ever
+consumes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import isqrt
 
 from .arith import factorize, is_fundamental_discriminant, is_prime
 
@@ -146,60 +150,23 @@ def _ext_gcd(x: int, y: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _crt(r1: int, m1: int, r2: int, m2: int) -> int:
-    # moduli must be positive; raises when the congruences conflict
-    g, s, _ = _ext_gcd(m1, m2)
-    if (r2 - r1) % g:
-        raise ArithmeticError("inconsistent congruences in composition")
-    lcm = m1 // g * m2
-    return (r1 + (r2 - r1) // g * s % (m2 // g) * m1) % lcm
-
-
-def _coprime_representation(a: int, b: int, c: int, n: int) -> tuple[int, int]:
-    # primitive (x, y) with f(x, y) nonzero and coprime to n, assembled by
-    # CRT: for each prime p | n one of (1,0), (0,1), (1,1) yields a value
-    # prime to p, else p would divide all of a, b, c
-    n = abs(n)
-    if n <= 1:
-        return 1, 0
-    x, y, mod = 0, 0, 1
-    for p, _ in factorize(n).factors:
-        for xp, yp in ((1, 0), (0, 1), (1, 1)):
-            if (a * xp * xp + b * xp * yp + c * yp * yp) % p:
-                break
-        else:
-            raise ArithmeticError("form is imprimitive")
-        x = _crt(x, mod, xp, p)
-        y = _crt(y, mod, yp, p)
-        mod *= p
-    if x == 0:
-        # every prime picked (0, 1), so y = 1 and (mod, 1) is primitive
-        x = mod
-    # no prime divides both x and mod together with y, so shifting y by
-    # multiples of mod reaches a pair that is globally primitive
-    for k in range(10**6):
-        if gcd(x, y + k * mod) == 1:
-            return x, y + k * mod
-    raise ArithmeticError("no primitive representation found")
-
-
 def _compose_raw(
     f1: tuple[int, int, int], f2: tuple[int, int, int], d: int
 ) -> tuple[int, int, int]:
-    a1, b1, c1 = f1
-    a2, b2, c2 = f2
-    x, y = _coprime_representation(a2, b2, c2, a1)
-    # complete (x, y) to a determinant-one matrix [[x, u], [y, v]] and
-    # transform f2 so its first coefficient m is coprime to a1
-    g, v, t = _ext_gcd(x, y)
-    u = -t
-    m = a2 * x * x + b2 * x * y + c2 * y * y
-    mid = 2 * a2 * x * u + b2 * (x * v + u * y) + 2 * c2 * y * v
-    # Dirichlet composition of the united pair (a1, B, *), (m, B, *)
-    big_b = _crt(b1, 2 * abs(a1), mid, 2 * abs(m))
-    big_a = a1 * m
-    big_c = (big_b * big_b - d) // (4 * big_a)
-    return big_a, big_b, big_c
+    # Dirichlet composition through the united pair (Cohen, Alg. 5.4.7):
+    # with beta = (b1 + b2)/2 and g = gcd(a1, a2, beta) = u*a1 + v*a2 + w*beta,
+    # b3 is b1 mod 2*a1/g, b2 mod 2*a2/g and a square root of d mod
+    # 4*a1*a2/g^2, whatever the signs of a1 and a2 (and of g: negating
+    # u, v, w and g together leaves b3 unchanged)
+    a1, b1, _ = f1
+    a2, b2, _ = f2
+    beta = (b1 + b2) // 2
+    g1, s, t = _ext_gcd(a1, a2)
+    g, x, w = _ext_gcd(g1, beta)
+    u, v = x * s, x * t
+    a3 = a1 * a2 // (g * g)
+    b3 = (u * a1 * b2 + v * a2 * b1 + w * (b1 * b2 + d) // 2) // g % (2 * abs(a3))
+    return a3, b3, (b3 * b3 - d) // (4 * a3)
 
 
 def compose(f: QuadForm, g: QuadForm) -> QuadForm:
@@ -266,28 +233,27 @@ def _reduced_forms_indef(d: int) -> list[tuple[int, int, int]]:
 class _Group:
     """Class representatives under composition; negative-discriminant
     representatives are the reduced forms, positive-discriminant ones the
-    lexicographic minimum of each reduction cycle."""
+    lexicographic minimum of each reduction cycle, found by lookup in a
+    table from every reduced form to its cycle's minimum."""
 
     def __init__(self, d: int):
         self.d = d
         if d < 0:
             self.reps = sorted(_reduced_forms_def(d))
         else:
-            seen: set[tuple[int, int, int]] = set()
-            reps = []
+            self.cls: dict[tuple[int, int, int], tuple[int, int, int]] = {}
             for f in _reduced_forms_indef(d):
-                if f in seen:
+                if f in self.cls:
                     continue
                 cyc = _cycle(*f, d)
-                seen.update(cyc)
-                reps.append(min(cyc))
-            self.reps = sorted(reps)
+                self.cls.update(dict.fromkeys(cyc, min(cyc)))
+            self.reps = sorted(set(self.cls.values()))
         self.identity = self.canon(_principal(d))
 
     def canon(self, f: tuple[int, int, int]) -> tuple[int, int, int]:
         if self.d < 0:
             return _reduce_def(*f)
-        return min(_cycle(*_reduce_indef(*f, self.d), self.d))
+        return self.cls[_reduce_indef(*f, self.d)]
 
     def mul(
         self, f: tuple[int, int, int], g: tuple[int, int, int]
@@ -295,14 +261,16 @@ class _Group:
         return self.canon(_compose_raw(f, g, self.d))
 
     def power(self, f: tuple[int, int, int], k: int) -> tuple[int, int, int]:
-        out = self.identity
-        base = f
-        while k:
+        # right-to-left binary powering that starts at the lowest set bit
+        # of k and stops before squaring past the highest one
+        out = None
+        while True:
             if k & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
+                out = f if out is None else self.mul(out, f)
             k >>= 1
-        return out
+            if not k:
+                return self.identity if out is None else out
+            f = self.mul(f, f)
 
 
 def _group_for(d: int) -> _Group:

@@ -244,6 +244,8 @@ def test_runconfig_validation():
     for bad in (
         dict(command="frobnicate"),
         dict(command="classgroup", workers=0),
+        dict(command="cubic-tab", xmax=100, workers=257),
+        dict(command="cubic-tab", xmax=100, workers=10**9),
         dict(command="cubic-tab", xmax=-5),
         dict(command="classgroup", dmax=0),
         dict(command="classgroup", format="xml"),
@@ -251,3 +253,24 @@ def test_runconfig_validation():
         with pytest.raises(ValueError):
             RunConfig(**bad)
     assert RunConfig(command="classgroup", dmax=100).workers == 1
+    assert RunConfig(command="cubic-tab", xmax=100, workers=256).workers == 256
+
+
+def test_huge_worker_count_exits_1_before_any_work(capsys, monkeypatch):
+    # validation only: the enumeration, which would start the workers,
+    # must never be reached
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr("reflectron.cli.enumerate_cubic_fields", refuse)
+    for argv, env in (
+        (["cubic-tab", "--xmax", "100", "--workers", "257"], None),
+        (["verify-on", "--dmax", "10", "--workers", str(10**12)], None),
+        (["cubic-tab", "--xmax", "100"], str(10**9)),
+    ):
+        if env is not None:
+            monkeypatch.setenv("REFLECTRON_WORKERS", env)
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "workers must be between 1 and 256" in captured.err

@@ -1,9 +1,11 @@
 import pytest
 
+import reflectron.quadforms as quadforms
 from reflectron.arith import fundamental_discriminants_in
 from reflectron.quadforms import (
     ClassGroupStructure,
     QuadForm,
+    _group_for,
     class_group,
     compose,
     ell_rank,
@@ -151,3 +153,67 @@ def test_ell_rank_matches_structure():
         divisors = class_group(d).elementary_divisors
         for ell in (3, 5, 7):
             assert ell_rank(d, ell) == sum(1 for n in divisors if n % ell == 0), (d, ell)
+
+
+def _omega(n):
+    # number of distinct prime factors, by trial division
+    count, p = 0, 2
+    while p * p <= n:
+        if n % p == 0:
+            count += 1
+            while n % p == 0:
+                n //= p
+        p += 1
+    return count + (n > 1)
+
+
+@pytest.mark.parametrize("d", [-1208, 229, 1596, 2021])
+def test_group_law_on_representatives(d):
+    grp = _group_for(d)
+    reps, e = grp.reps, grp.identity
+    assert len(reps) > 1
+    for f in reps:
+        assert grp.mul(e, f) == f == grp.mul(f, e)
+        # (a, -b, c) lies in the inverse class
+        assert grp.mul(f, (f[0], -f[1], f[2])) == e
+        for g in reps:
+            fg = grp.mul(f, g)
+            assert fg in reps and fg == grp.mul(g, f)
+            for h in reps:
+                assert grp.mul(fg, h) == grp.mul(f, grp.mul(g, h)), (f, g, h)
+
+
+def test_power_of_class_number_is_identity():
+    # Lagrange, for both signs (every d > 0 representative here has a < 0)
+    for d in fundamental_discriminants_in(-1000, 1000):
+        if d == 1:
+            continue
+        grp = _group_for(d)
+        h = len(grp.reps)
+        for f in grp.reps:
+            assert grp.power(f, h) == grp.identity, (d, f)
+            assert grp.power(f, h + 1) == f, (d, f)
+            assert grp.power(f, 0) == grp.identity, (d, f)
+
+
+def test_two_rank_matches_genus_theory():
+    # genus theory, which needs no composition: the 2-rank of the (narrow)
+    # class group of a fundamental discriminant D is omega(|D|) - 1
+    for d in fundamental_discriminants_in(-2000, 2000):
+        if d == 1:
+            continue
+        divisors = class_group(d).elementary_divisors
+        assert sum(1 for n in divisors if n % 2 == 0) == _omega(abs(d)) - 1, d
+
+
+@pytest.mark.parametrize("d", [-3299, -3896, 229, 1596])
+def test_composition_does_not_factor(monkeypatch, d):
+    calls = []
+    real = quadforms.factorize
+    monkeypatch.setattr(quadforms, "factorize", lambda n: calls.append(n) or real(n))
+    ell_rank(d, 3)
+    ell_rank(d, 5)
+    assert calls == []
+    class_group(d)
+    # only the class number itself is factored
+    assert len(calls) <= 1
