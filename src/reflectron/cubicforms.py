@@ -9,7 +9,9 @@ minimum, negative-discriminant classes by reduction against the real
 root, where each class carries exactly two reduced representatives
 swapped by (x, y) -> (x, -y) and the sign of b (then of d) breaks the
 tie.  All counting decisions are made by exact integer tests; floating
-point appears only in over-generous window bounds.
+point appears only in over-generous window bounds, and on the negative
+side the d range is also cut to the exact integer interval on which the
+discriminant bound holds.
 """
 
 from __future__ import annotations
@@ -23,15 +25,21 @@ from .arith import factorize, smallest_prime_factors
 _SIGNS = (-1, 0, 1)
 
 # all GL2(Z) matrices with entries in {-1, 0, 1}; two reduced-Hessian
-# representatives of one class always differ by one of these
-_UNIMODULAR = tuple(
-    (p, q, r, s)
-    for p in (-1, 0, 1)
-    for q in (-1, 0, 1)
-    for r in (-1, 0, 1)
-    for s in (-1, 0, 1)
-    if abs(p * s - q * r) == 1
+# representatives of one class always differ by one of these.  They are
+# grouped by first column (p, r), which alone fixes the new leading
+# coefficient f(p, r), as (p, r, ((q, s), ...))
+_UNIMODULAR_BY_COLUMN = tuple(
+    (p, r, tuple((q, s) for q in _SIGNS for s in _SIGNS if abs(p * s - q * r) == 1))
+    for p in _SIGNS
+    for r in _SIGNS
+    if p or r
 )
+
+# primes of the irreducibility sieve; the table of p, built on first
+# use, is indexed by (a, b, c, d) mod p and is 0 where the form has no
+# projective root mod p
+_SIEVE_PRIMES = (2, 3, 5, 7, 11)
+_SIEVE: list[tuple[int, bytes]] = []
 
 
 @dataclass(frozen=True)
@@ -89,10 +97,31 @@ def _divisors(n: int) -> list[int]:
     return out
 
 
+def _root_table(p: int) -> bytes:
+    # every residue form with a = 0 has the root (1 : 0); otherwise mark
+    # d = -(a x^3 + b x^2 + c x) for each root x
+    table = bytearray(p**4)
+    table[: p**3] = b"\x01" * p**3
+    for a in range(1, p):
+        for b in range(p):
+            for c in range(p):
+                base = ((a * p + b) * p + c) * p
+                for x in range(p):
+                    table[base + -(((a * x + b) * x + c) * x) % p] = 1
+    return bytes(table)
+
+
 def _has_rational_root(a: int, b: int, c: int, d: int) -> bool:
-    # roots of a x^3 + b x^2 + c x + d are p/q with p | d, q | a
+    # a linear factor q x - p y gives a projective root (q : p) mod every
+    # prime, so one prime without a root settles the question
     if d == 0:
         return True
+    if not _SIEVE:
+        _SIEVE.extend((p, _root_table(p)) for p in _SIEVE_PRIMES)
+    for p, table in _SIEVE:
+        if not table[((a % p * p + b % p) * p + c % p) * p + d % p]:
+            return False
+    # roots of a x^3 + b x^2 + c x + d are p/q with p | d, q | a
     for q in _divisors(abs(a)):
         qq = q * q
         for p in _divisors(abs(d)):
@@ -178,28 +207,23 @@ def _canonical_real(a: int, b: int, c: int, d: int) -> bool:
     # the canonical class representative is the lexicographically least
     # orbit member with positive leading coefficient and reduced Hessian
     me = (a, b, c, d)
-    for p, q, r, s in _UNIMODULAR:
-        a2 = ((a * p + b * r) * p + c * r * r) * p + d * r**3
+    for p, r, cols in _UNIMODULAR_BY_COLUMN:
+        a2 = ((a * p + b * r) * p + c * r * r) * p + d * r * r * r
         if a2 <= 0 or a2 > a:
             continue
-        b2 = (
-            3 * a * p * p * q
-            + b * (p * p * s + 2 * p * q * r)
-            + c * (2 * p * r * s + q * r * r)
-            + 3 * d * r * r * s
-        )
-        c2 = (
-            3 * a * p * q * q
-            + b * (2 * p * q * s + q * q * r)
-            + c * (p * s * s + 2 * q * r * s)
-            + 3 * d * r * s * s
-        )
-        d2 = ((a * q + b * s) * q + c * s * s) * q + d * s**3
-        g = (a2, b2, c2, d2)
-        if g >= me:
-            continue
-        if _hessian_reduced(a2, b2, c2, d2):
-            return False
+        # b2 = q f_x(p, r) + s f_y(p, r), c2 = p f_x(q, s) + r f_y(q, s)
+        fx = (3 * a * p + 2 * b * r) * p + c * r * r
+        fy = (b * p + 2 * c * r) * p + 3 * d * r * r
+        for q, s in cols:
+            b2 = q * fx + s * fy
+            c2 = p * ((3 * a * q + 2 * b * s) * q + c * s * s) + r * (
+                (b * q + 2 * c * s) * q + 3 * d * s * s
+            )
+            d2 = ((a * q + b * s) * q + c * s * s) * q + d * s * s * s
+            if (a2, b2, c2, d2) >= me:
+                continue
+            if _hessian_reduced(a2, b2, c2, d2):
+                return False
     return True
 
 
@@ -301,6 +325,19 @@ def _d_window(
     return floor(min(vals)) - 3, ceil(max(vals)) + 3
 
 
+def _disc_d_interval(a: int, b: int, c: int, xmax: int) -> tuple[int, int] | None:
+    # disc = -27 a^2 d^2 + B d + C >= -xmax holds exactly for the integers
+    # d with |54 a^2 d - B| <= isqrt(B^2 + 108 a^2 (C + xmax))
+    B = (18 * a * c - 4 * b * b) * b
+    C = (b * b - 4 * a * c) * c * c
+    rad = B * B + 108 * a * a * (C + xmax)
+    if rad < 0:
+        return None
+    s = isqrt(rad)
+    k = 54 * a * a
+    return -((s - B) // k), (B + s) // k
+
+
 def _complex_amax(xmax: int) -> int:
     return int((16 * xmax / 27) ** 0.25) + 2
 
@@ -322,10 +359,13 @@ def _complex_shard(
             clo = floor(a - ghi) - 3
             chi = ceil(qmax - glo) + 3
             for c in range(clo, chi + 1):
+                exact = _disc_d_interval(a, b, c, xmax)
+                if exact is None:
+                    continue
                 window = _d_window(a, b, c, tlo, thi, qmax)
                 if window is None:
                     continue
-                for d in range(window[0], window[1] + 1):
+                for d in range(max(window[0], exact[0]), min(window[1], exact[1]) + 1):
                     if b == 0 and d >= 0:
                         continue
                     # the two reduced representatives of a class differ

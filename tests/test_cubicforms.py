@@ -1,3 +1,9 @@
+import hashlib
+import itertools
+import random
+import subprocess
+import sys
+
 import pytest
 import sympy
 from sympy.abc import x
@@ -96,6 +102,66 @@ def test_irreducibility_matches_sympy():
                     assert got == expected, (a, b, c, d)
 
 
+def test_sieve_tables_match_direct_evaluation():
+    # the tables are built on the first call that reaches the sieve
+    cubicforms._has_rational_root(1, 0, 0, 2)
+    tables = dict(cubicforms._SIEVE)
+    assert sorted(tables) == [2, 3, 5, 7, 11]
+    for p, table in tables.items():
+        assert len(table) == p**4
+        for i, (a, b, c, d) in enumerate(itertools.product(range(p), repeat=4)):
+            # (1 : 0) is a root when a = 0, (x : 1) when f(x, 1) = 0
+            root = a == 0 or any((a * x**3 + b * x * x + c * x + d) % p == 0 for x in range(p))
+            assert table[i] == root, (p, a, b, c, d)
+
+
+def test_products_with_a_linear_factor_are_reducible():
+    # (q x - p y)(g x^2 + h x y + e y^2), coefficients up to 10^3 and
+    # multiples of every sieve prime, so roots mod p include (1 : 0)
+    # and forms whose coefficients vanish mod p
+    linear = (-1000, -77, -6, 0, 1, 5, 11, 210)
+    quadratic = (-330, -1, 0, 7, 1000)
+    for q, p in itertools.product(linear, repeat=2):
+        if q == p == 0:
+            continue
+        for g, h, e in itertools.product(quadratic, repeat=3):
+            if g == h == e == 0:
+                continue
+            f = CubicForm(q * g, q * h - p * g, q * e - p * h, -p * e)
+            assert not is_irreducible(f), (q, p, g, h, e)
+
+
+def test_irreducibility_matches_sympy_on_large_coefficients():
+    rng = random.Random(20140605)
+    forms = []
+    for _ in range(300):
+        a = rng.choice([-1, 1]) * rng.randint(1, 1000)
+        forms.append(CubicForm(a, *(rng.randint(-1000, 1000) for _ in range(3))))
+    for _ in range(100):
+        # products whose coefficients stay within 10^3
+        q, g = rng.randint(1, 22), rng.choice([-1, 1]) * rng.randint(1, 22)
+        p, h, e = (rng.randint(-22, 22) for _ in range(3))
+        forms.append(CubicForm(q * g, q * h - p * g, q * e - p * h, -p * e))
+    verdicts = set()
+    for f in forms:
+        factors = sympy.Poly(f.a * x**3 + f.b * x**2 + f.c * x + f.d, x).factor_list()[1]
+        expected = len(factors) == 1 and factors[0][1] == 1
+        assert max(map(abs, (f.a, f.b, f.c, f.d))) <= 1000
+        assert is_irreducible(f) == expected, f
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def test_sieve_tables_are_built_on_first_use():
+    code = (
+        "import reflectron.cli, reflectron.cubicforms as c\n"
+        "assert c._SIEVE == [], 'built at import'\n"
+        "c._has_rational_root(1, 0, 0, 2)\n"
+        "assert [p for p, _ in c._SIEVE] == [2, 3, 5, 7, 11]\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
 def test_is_maximal_against_round_two():
     # the discriminant of the maximal order equals the form discriminant
     # exactly when the ring cut out by the form is already maximal
@@ -153,6 +219,39 @@ def test_enumeration_worker_independence():
     assert enumerate_cubic_fields(2500, 0, workers=3).counts == (
         enumerate_cubic_fields(2500, 0, workers=1).counts
     )
+
+
+def test_disc_d_interval_matches_brute_force():
+    seen_empty = seen_window = False
+    span = range(-100, 101)
+    for a in range(1, 5):
+        for b in range(-4, 5):
+            for c in range(-6, 7):
+                discs = [(d, cubic_disc(CubicForm(a, b, c, d))) for d in span]
+                for xmax in (0, 1, 50, 1000, 20000):
+                    brute = [d for d, disc in discs if disc >= -xmax]
+                    window = cubicforms._disc_d_interval(a, b, c, xmax)
+                    if window is None:
+                        seen_empty = True
+                        assert brute == [], (a, b, c, xmax)
+                        continue
+                    lo, hi = window
+                    assert span[0] < lo and hi < span[-1], (a, b, c, xmax)
+                    assert brute == list(range(lo, hi + 1)), (a, b, c, xmax)
+                    seen_window = seen_window or bool(brute)
+    assert seen_empty and seen_window
+
+
+def test_enumeration_regression_at_30000():
+    # recorded before the sieve and the exact d window were added
+    tab = enumerate_cubic_fields(30000, 0)
+    counts = tab.counts
+    assert sum(n for d, n in counts.items() if d > 0) == 1299
+    assert sum(n for d, n in counts.items() if d < 0) == 4885
+    assert len(counts) == 5768
+    digest = hashlib.sha256(repr(sorted(counts.items())).encode()).hexdigest()
+    assert digest == "e16489830e31a5ec0eabccb231d5a6704daabb69a0d39835b6beedcd3b7521de"
+    assert enumerate_cubic_fields(30000, 0, workers=2).counts == counts
 
 
 class _InProcessPool:
