@@ -216,11 +216,16 @@ def _run_cubic_tab(config: RunConfig):
 
 
 def _run_verify_on(config: RunConfig):
-    tab = enumerate_cubic_fields(27 * config.dmax, 0, workers=config.workers)
+    # |D*| <= 3 |D| and |D| <= dmax, so only -27 D lies past 3 dmax, and
+    # the fields with 27 | disc are the ones the modulus-27 walk finds
+    low = enumerate_cubic_fields(3 * config.dmax, 0, workers=config.workers)
+    high = enumerate_cubic_fields(
+        27 * config.dmax, 0, workers=config.workers, modulus=27
+    )
     rows = []
     failed = False
     for d in _scope(config, -3):
-        report = verify_on3(d, tab)
+        report = verify_on3(d, low, high)
         failed = failed or not report.holds
         rows.append(
             {

@@ -245,7 +245,7 @@ def predict(ell: int, D: int) -> PredictionRecord:
 
 @dataclass(frozen=True)
 class OnVerification:
-    """Both sides of the ell = 3 identity read off one tabulation."""
+    """Both sides of the ell = 3 identity read off cubic tabulations."""
 
     D: int
     lhs_terms: tuple[int, int]
@@ -253,20 +253,25 @@ class OnVerification:
     holds: bool
 
 
-def verify_on3(D: int, tab: CubicTabulation) -> OnVerification:
+def verify_on3(
+    D: int, tab: CubicTabulation, tab27: CubicTabulation | None = None
+) -> OnVerification:
     """Check the cubic case of the identity for one discriminant, with
-    every count taken from a cubic-form tabulation and nothing else.
+    every count taken from cubic-form tabulations and nothing else.
 
     The left side is N3(D*) + N3(-27 D) where D* = -3 D when 3 does not
     divide D and -D/3 otherwise; the right side is N3(D) for D < 0 and
-    3 N3(D) + 1 for D > 0.  The tabulation must cover all three
-    discriminants or count_N3 raises.
+    3 N3(D) + 1 for D > 0.  N3(-27 D) is read from tab27 when it is
+    given and from tab otherwise; every other count is read from tab.
+    So tab must cover D and D* (|D*| <= 3 |D|), and tab27, which may
+    hold only discriminants divisible by 27, must cover -27 D; a count
+    its tabulation does not cover makes count_N3 raise.
     """
     if not is_fundamental_discriminant(D) or D in (1, -3):
         raise ValueError(f"D = {D} is outside the identity's range")
     dstar = -3 * D if D % 3 else -D // 3
     first = count_N3(tab, dstar)
-    second = count_N3(tab, -27 * D)
+    second = count_N3(tab if tab27 is None else tab27, -27 * D)
     rhs = count_N3(tab, D) if D < 0 else 3 * count_N3(tab, D) + 1
     return OnVerification(D, (first, second), rhs, first + second == rhs)
 

@@ -4,7 +4,10 @@ from pathlib import Path
 
 import pytest
 
+from reflectron.arith import fundamental_discriminants_in
 from reflectron.cli import RunConfig, emit_report, main
+from reflectron.cubicforms import enumerate_cubic_fields
+from reflectron.reflection import verify_on3
 
 FIXTURE = Path(__file__).parent / "data" / "f5_synthetic.csv"
 
@@ -74,6 +77,24 @@ def test_verify_on_rows(capsys):
     assert "3,5,0,1,1,pass" in lines
     assert all(line.endswith("pass") for line in lines[1:])
     assert not any(",-3," in line for line in lines)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_verify_on_matches_one_full_tabulation(capsys, workers):
+    # verify-on reads -27 D from a modulus-27 tabulation and the rest from
+    # a dense one to 3 dmax; one full tabulation to 27 dmax is the reference
+    full = enumerate_cubic_fields(27 * 400, 0)
+    expected = ["ell,D,N3_Dstar,N3_27D,rhs,verdict"]
+    scope = [d for d in fundamental_discriminants_in(-400, 400) if d not in (1, -3)]
+    for d in sorted(scope, key=lambda d: (abs(d), d)):
+        report = verify_on3(d, full)
+        first, second = report.lhs_terms
+        verdict = "pass" if report.holds else "fail"
+        expected.append(f"3,{d},{first},{second},{report.rhs},{verdict}")
+    code, out = run_main(capsys, ["verify-on", "--dmax", "400", "--workers", workers])
+    assert code == 0
+    assert out.splitlines() == expected
+    assert any(line.split(",")[3] != "0" for line in expected[1:])
 
 
 def test_predict_json(capsys):

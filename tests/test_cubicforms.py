@@ -254,6 +254,40 @@ def test_enumeration_regression_at_30000():
     assert enumerate_cubic_fields(30000, 0, workers=2).counts == counts
 
 
+def test_totally_ramified_forms_have_b_and_c_divisible_by_3():
+    # the modulus-27 walk rests on this: an irreducible maximal form with
+    # 27 | disc has b = c = 0 (mod 3), and every such form has 27 | disc.
+    # The maximal order's discriminant comes from sympy's round_two on
+    # the monic y^3 + b y^2 + ac y + a^2 d, y = a x, an oracle that shares
+    # nothing with is_maximal
+    box = range(-5, 6)
+    checked = 0
+    for a in range(1, 7):
+        for b, c, d in itertools.product(box, box, box):
+            disc = cubic_disc(CubicForm(a, b, c, d))
+            if b % 3 == 0 and c % 3 == 0:
+                assert disc % 27 == 0, (a, b, c, d)
+                continue
+            if disc % 27 or not is_irreducible(CubicForm(a, b, c, d)):
+                continue
+            poly = sympy.Poly(x**3 + b * x**2 + a * c * x + a * a * d, x, domain="ZZ")
+            _, oracle_disc = round_two(poly)
+            assert oracle_disc != disc, (a, b, c, d)
+            checked += 1
+    assert checked == 52
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_modulus_27_walk_finds_exactly_the_fields_with_27_dividing_disc(sign):
+    full = enumerate_cubic_fields(30000, sign).counts
+    expected = {d: n for d, n in full.items() if d % 27 == 0}
+    assert expected  # 323 negative and 121 positive discriminants
+    tab = enumerate_cubic_fields(30000, sign, modulus=27)
+    assert tab.modulus == 27
+    assert tab.counts == expected
+    assert enumerate_cubic_fields(30000, sign, modulus=27, workers=2).counts == expected
+
+
 class _InProcessPool:
     """Stands in for ProcessPoolExecutor: records max_workers and maps
     in this process, so no worker is ever started."""
@@ -285,6 +319,12 @@ def test_enumeration_caps_shards_at_leading_coefficients(monkeypatch):
     assert cubicforms._complex_amax(160000) == 19
 
 
+def test_complex_amax_matches_the_float_bound():
+    # the integer bound replaced int((16 X / 27) ** 0.25) + 2
+    for xmax in range(10**6 + 1):
+        assert cubicforms._complex_amax(xmax) == int((16 * xmax / 27) ** 0.25) + 2, xmax
+
+
 def test_enumeration_validation():
     with pytest.raises(ValueError):
         enumerate_cubic_fields(-1, 0)
@@ -294,6 +334,8 @@ def test_enumeration_validation():
         enumerate_cubic_fields(100, 0, xmin=200)
     with pytest.raises(ValueError):
         enumerate_cubic_fields(100, 0, workers=0)
+    with pytest.raises(ValueError):
+        enumerate_cubic_fields(100, 0, modulus=9)
     # a degenerate window is legal and empty
     assert enumerate_cubic_fields(0, 0).counts == {}
 
@@ -310,6 +352,13 @@ def test_merge_tabulations():
     assert merge_tabulations(neg, pos).counts == lo.counts
     with pytest.raises(ValueError):
         merge_tabulations(lo, enumerate_cubic_fields(1800, 0, xmin=1000))
+    hi27 = enumerate_cubic_fields(1800, 0, xmin=900, modulus=27)
+    with pytest.raises(ValueError):
+        merge_tabulations(lo, hi27)  # adjacent, but of different moduli
+    lo27 = enumerate_cubic_fields(900, 0, modulus=27)
+    whole27 = merge_tabulations(lo27, hi27)
+    assert whole27.modulus == 27
+    assert whole27.counts == {d: n for d, n in direct.counts.items() if d % 27 == 0}
 
 
 def test_count_n3_errors():
@@ -322,6 +371,11 @@ def test_count_n3_errors():
         count_N3(tab, 49)  # wrong sign
     with pytest.raises(ValueError):
         count_N3(tab, -501)  # beyond the window
+    tab27 = enumerate_cubic_fields(500, -1, modulus=27)
+    assert count_N3(tab27, -108) == 1
+    assert count_N3(tab27, -27) == 0  # covered, no field there
+    with pytest.raises(ValueError):
+        count_N3(tab27, -23)  # a field exists, but 27 does not divide -23
 
 
 def test_tabulation_to_csv(capsys):
@@ -348,3 +402,8 @@ def test_tabulation_validation():
         CubicTabulation(0, 100, 0, {-108: 1})  # outside the window
     with pytest.raises(ValueError):
         CubicTabulation(-1, 100, 0, {})
+    with pytest.raises(ValueError):
+        CubicTabulation(0, 100, 0, {-23: 1}, modulus=27)  # 27 does not divide -23
+    with pytest.raises(ValueError):
+        CubicTabulation(0, 100, 0, {}, modulus=9)
+    assert CubicTabulation(0, 200, 0, {-108: 1}, modulus=27).counts == {-108: 1}

@@ -216,6 +216,14 @@ def test_verify_on3_validation():
         verify_on3(-20, tab)  # -27 D = 540 is past the window
     with pytest.raises(ValueError):
         verify_on3(-8, enumerate_cubic_fields(500, -1))  # needs both signs
+    # a separate tabulation for -27 D must cover it
+    high = enumerate_cubic_fields(500, 0, modulus=27)
+    assert verify_on3(-8, tab, high) == verify_on3(-8, tab)
+    with pytest.raises(ValueError):
+        verify_on3(-20, tab, high)  # -27 D = 540 is past high's window
+    with pytest.raises(ValueError):
+        # tab must cover D* = 24, which 27 does not divide
+        verify_on3(-8, enumerate_cubic_fields(500, 0, modulus=27), high)
 
 
 def test_verify_on3_agrees_with_class_groups():
