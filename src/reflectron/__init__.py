@@ -33,7 +33,6 @@ from .cubicforms import (
     enumerate_cubic_fields,
     is_irreducible,
     is_maximal,
-    merge_tabulations,
 )
 from .reflection import (
     Corollary5Report,
@@ -55,7 +54,6 @@ from .fieldtables import (
     FieldTableEntry,
     TableComparison,
     compare_with_table,
-    count_matching,
     parse_field_table,
 )
 
@@ -82,7 +80,6 @@ __all__ = [
     "is_irreducible",
     "is_maximal",
     "enumerate_cubic_fields",
-    "merge_tabulations",
     "count_N3",
     "FieldDiscriminant",
     "PredictionRecord",
@@ -101,6 +98,5 @@ __all__ = [
     "FieldTableEntry",
     "TableComparison",
     "parse_field_table",
-    "count_matching",
     "compare_with_table",
 ]

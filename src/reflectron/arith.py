@@ -15,6 +15,10 @@ from math import gcd, isqrt
 
 _TRIAL_LIMIT = 10**6
 
+# entry n of the sieve starts out holding n, and an array('I') entry
+# holds at most 2^32 - 1
+_SIEVE_CEILING = 2**32 - 1
+
 # Grown on demand: _spf[n] is the smallest prime factor of n for
 # 2 <= n < len(_spf), and _primes lists the primes below _primes_end,
 # read off _spf only as far as callers ask.
@@ -25,10 +29,13 @@ _primes_end = 0
 
 def smallest_prime_factors(limit: int) -> array:
     """Shared sieve table t with t[n] the smallest prime factor of n for
-    every 2 <= n <= limit; the table may extend past limit."""
+    every 2 <= n <= limit; the table may extend past limit.  A limit
+    above 2^32 - 1 raises ValueError before anything is allocated."""
     global _spf
+    if limit > _SIEVE_CEILING:
+        raise ValueError(f"sieve limit {limit} exceeds {_SIEVE_CEILING}")
     if limit >= len(_spf):
-        n = max(limit, 2 * len(_spf), 1 << 10)
+        n = min(max(limit, 2 * len(_spf), 1 << 10), _SIEVE_CEILING)
         _spf = array("I", range(n + 1))
         # descending, so each entry ends up holding its smallest factor
         for p in range(isqrt(n), 1, -1):

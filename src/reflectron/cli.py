@@ -193,10 +193,6 @@ def _scope(config: RunConfig, *exclude: int):
     return sorted(out, key=lambda d: (abs(d), d))
 
 
-def _signed(fd) -> int:
-    return fd.signed_value()
-
-
 def _run_classgroup(config: RunConfig):
     rows = []
     for d in _scope(config):
@@ -207,7 +203,7 @@ def _run_classgroup(config: RunConfig):
 
 
 def _run_cubic_tab(config: RunConfig):
-    tab = enumerate_cubic_fields(config.xmax, 0, workers=config.workers)
+    tab = enumerate_cubic_fields(config.xmax, workers=config.workers)
     rows = [
         {"disc": disc, "count": tab.counts[disc]}
         for disc in sorted(tab.counts, key=lambda t: (abs(t), t))
@@ -218,10 +214,8 @@ def _run_cubic_tab(config: RunConfig):
 def _run_verify_on(config: RunConfig):
     # |D*| <= 3 |D| and |D| <= dmax, so only -27 D lies past 3 dmax, and
     # the fields with 27 | disc are the ones the modulus-27 walk finds
-    low = enumerate_cubic_fields(3 * config.dmax, 0, workers=config.workers)
-    high = enumerate_cubic_fields(
-        27 * config.dmax, 0, workers=config.workers, modulus=27
-    )
+    low = enumerate_cubic_fields(3 * config.dmax, workers=config.workers)
+    high = enumerate_cubic_fields(27 * config.dmax, workers=config.workers, modulus=27)
     rows = []
     failed = False
     for d in _scope(config, -3):
@@ -253,7 +247,7 @@ def _predictions(config: RunConfig):
 
 
 def _prediction_row(pred, format: str) -> dict:
-    targets = [{"r2": fd.r2, "disc": _signed(fd)} for fd in pred.targets]
+    targets = [{"r2": fd.r2, "disc": fd.signed_value()} for fd in pred.targets]
     if isinstance(pred, Corollary5Report):
         row = {"ell": 5, "D": pred.d, "lhs": pred.lhs_value, "targets": targets}
     else:
@@ -267,9 +261,8 @@ def _prediction_row(pred, format: str) -> dict:
             "star_required": pred.star_required,
         }
     if format == "csv":
-        row = {k: v for k, v in row.items() if k != "targets"}
         for i, fd in enumerate(pred.targets, start=1):
-            row[f"target{i}"] = _signed(fd)
+            row[f"target{i}"] = fd.signed_value()
     return row
 
 
@@ -324,8 +317,6 @@ def run(config: RunConfig) -> int:
     """Execute one command and write its report; returns the exit code."""
     rows, columns, code = _RUNNERS[config.command](config)
     format = config.format or _DEFAULT_FORMAT[config.command]
-    if format == "csv":
-        rows = [{k: row[k] for k in columns} for row in rows]
     text = emit_report(rows, format, columns)
     if config.out:
         with open(config.out, "w") as handle:

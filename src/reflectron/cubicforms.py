@@ -3,7 +3,7 @@
 Classes of irreducible maximal forms under the unimodular action are in
 bijection with cubic fields, form discriminant equal to field
 discriminant.  Tabulation enumerates one canonical representative per
-class inside a discriminant window: positive-discriminant classes are
+class with 0 < |disc| <= xmax: positive-discriminant classes are
 picked out by a reduced Hessian together with a lexicographic orbit
 minimum, negative-discriminant classes by reduction against the real
 root, where each class carries exactly two reduced representatives
@@ -62,28 +62,22 @@ class CubicForm:
 
 @dataclass(frozen=True)
 class CubicTabulation:
-    """Counts of cubic fields by discriminant over the window
-    xmin < |disc| <= xmax, restricted to one sign unless sign is 0 and
-    to discriminants divisible by modulus (1 or 27)."""
+    """Counts of cubic fields by discriminant over 0 < |disc| <= xmax,
+    both signs, restricted to discriminants divisible by modulus (1 or
+    27)."""
 
-    xmin: int
     xmax: int
-    sign: int
     counts: dict[int, int] = field(compare=False)
     modulus: int = 1
 
     def __post_init__(self) -> None:
-        if not 0 <= self.xmin <= self.xmax:
-            raise ValueError("window must satisfy 0 <= xmin <= xmax")
-        if self.sign not in _SIGNS:
-            raise ValueError("sign must be -1, 0 or 1")
+        if self.xmax < 0:
+            raise ValueError("xmax must be non-negative")
         if self.modulus not in _MODULI:
             raise ValueError("modulus must be 1 or 27")
         for disc in self.counts:
-            if not self.xmin < abs(disc) <= self.xmax:
-                raise ValueError(f"discriminant {disc} outside window")
-            if self.sign and (disc > 0) != (self.sign > 0):
-                raise ValueError(f"discriminant {disc} has the wrong sign")
+            if not 0 < abs(disc) <= self.xmax:
+                raise ValueError(f"discriminant {disc} outside 0 < |disc| <= xmax")
             if disc % self.modulus:
                 raise ValueError(f"discriminant {disc} is not a multiple of the modulus")
 
@@ -248,7 +242,7 @@ def _real_amax(xmax: int) -> int:
 
 
 def _real_shard(
-    xmin: int, xmax: int, nshards: int, shard: int, step: int, counts: dict[int, int]
+    xmax: int, nshards: int, shard: int, step: int, counts: dict[int, int]
 ) -> None:
     rx = isqrt(xmax)
     q4 = isqrt(rx) + 2
@@ -274,7 +268,8 @@ def _real_shard(
                         continue
                     Q = bc - na * d
                     t = 4 * P * R - Q * Q
-                    if t <= 3 * xmin or t > 3 * xmax:
+                    # t >= 3 P^2 >= 3 here, so only the upper bound can fail
+                    if t > 3 * xmax:
                         continue
                     if _has_rational_root(a, b, c, d):
                         continue
@@ -359,7 +354,7 @@ def _complex_amax(xmax: int) -> int:
 
 
 def _complex_shard(
-    xmin: int, xmax: int, nshards: int, shard: int, step: int, counts: dict[int, int]
+    xmax: int, nshards: int, shard: int, step: int, counts: dict[int, int]
 ) -> None:
     spf = smallest_prime_factors(xmax)
     for a in range(1 + shard, _complex_amax(xmax) + 1, nshards):
@@ -401,7 +396,8 @@ def _complex_shard(
                         - 4 * b**3 * d
                         - 27 * a * a * d * d
                     )
-                    if disc >= 0 or not xmin < -disc <= xmax:
+                    # -disc <= xmax already holds on the exact d interval
+                    if disc >= 0:
                         continue
                     if _has_rational_root(a, b, c, d):
                         continue
@@ -414,44 +410,40 @@ def _complex_shard(
 # public tabulation API
 
 
-def _enumerate_shard(args: tuple[int, int, int, int, int, int]) -> dict[int, int]:
-    xmin, xmax, sign, nshards, shard, step = args
+def _enumerate_shard(args: tuple[int, int, int, int]) -> dict[int, int]:
+    xmax, nshards, shard, step = args
     counts: dict[int, int] = {}
-    if sign >= 0:
-        _real_shard(xmin, xmax, nshards, shard, step, counts)
-    if sign <= 0:
-        _complex_shard(xmin, xmax, nshards, shard, step, counts)
+    _real_shard(xmax, nshards, shard, step, counts)
+    _complex_shard(xmax, nshards, shard, step, counts)
     return counts
 
 
 def enumerate_cubic_fields(
-    xmax: int, sign: int = 0, *, xmin: int = 0, workers: int = 1, modulus: int = 1
+    xmax: int, *, workers: int = 1, modulus: int = 1
 ) -> CubicTabulation:
-    """Tabulate cubic field counts by discriminant over
-    xmin < |disc| <= xmax (sign restricts to one sign; 0 means both).
+    """Tabulate cubic field counts by discriminant over 0 < |disc| <= xmax,
+    both signs.
 
     With modulus 27 only the fields with 27 | disc are tabulated, by
     walking the forms with b = c = 0 (mod 3); the result covers, and
     count_N3 accepts, only discriminants divisible by 27.  With the
-    default modulus 1 it covers every discriminant in the window.
+    default modulus 1 it covers every discriminant up to xmax.
 
     The result is independent of the worker count: shards split the
     leading coefficient by residue and canonicity is decided per form.
     Workers beyond the number of leading coefficients walked would get
     empty shards, so the shard count is capped there.
     """
-    if xmin < 0 or xmax < xmin:
-        raise ValueError("window must satisfy 0 <= xmin <= xmax")
-    if sign not in _SIGNS:
-        raise ValueError("sign must be -1, 0 or 1")
+    if xmax < 0:
+        raise ValueError("xmax must be non-negative")
     if workers < 1:
         raise ValueError("workers must be at least 1")
     if modulus not in _MODULI:
         raise ValueError("modulus must be 1 or 27")
     # the negative side always walks at least as many a as the positive
-    nshards = min(workers, _real_amax(xmax) if sign > 0 else _complex_amax(xmax))
+    nshards = min(workers, _complex_amax(xmax))
     step = _MODULI[modulus]
-    jobs = [(xmin, xmax, sign, nshards, s, step) for s in range(nshards)]
+    jobs = [(xmax, nshards, s, step) for s in range(nshards)]
     if nshards == 1:
         parts = [_enumerate_shard(jobs[0])]
     else:
@@ -461,42 +453,17 @@ def enumerate_cubic_fields(
     for part in parts:
         for disc, n in part.items():
             counts[disc] = counts.get(disc, 0) + n
-    return CubicTabulation(xmin, xmax, sign, counts, modulus)
-
-
-def merge_tabulations(t1: CubicTabulation, t2: CubicTabulation) -> CubicTabulation:
-    """Join two tabulations: adjacent windows of the same sign, or the
-    two signs of one window, at one modulus."""
-    if t1.modulus != t2.modulus:
-        raise ValueError("tabulations of different moduli cannot be merged")
-    if t1.sign == t2.sign:
-        if t1.xmin > t2.xmin:
-            t1, t2 = t2, t1
-        if t1.xmax != t2.xmin:
-            raise ValueError("windows are not adjacent")
-        merged = CubicTabulation(
-            t1.xmin, t2.xmax, t1.sign, {**t1.counts, **t2.counts}, t1.modulus
-        )
-    elif {t1.sign, t2.sign} == {-1, 1} and (t1.xmin, t1.xmax) == (t2.xmin, t2.xmax):
-        merged = CubicTabulation(
-            t1.xmin, t1.xmax, 0, {**t1.counts, **t2.counts}, t1.modulus
-        )
-    else:
-        raise ValueError("tabulations cannot be merged")
-    if len(merged.counts) != len(t1.counts) + len(t2.counts):
-        raise AssertionError("merge collided on a discriminant")
-    return merged
+    return CubicTabulation(xmax, counts, modulus)
 
 
 def count_N3(tab: CubicTabulation, disc: int) -> int:
     """Number of cubic fields of the given discriminant, read from a
-    tabulation that must cover it."""
+    tabulation that must cover it: 0 < |disc| <= tab.xmax and, at
+    modulus 27, 27 | disc."""
     if disc == 0:
         raise ValueError("0 is not a field discriminant")
-    if tab.sign and (disc > 0) != (tab.sign > 0):
-        raise ValueError(f"tabulation does not cover the sign of {disc}")
-    if not tab.xmin < abs(disc) <= tab.xmax:
-        raise ValueError(f"{disc} is outside the tabulated window")
+    if abs(disc) > tab.xmax:
+        raise ValueError(f"{disc} is beyond the tabulated |disc| <= {tab.xmax}")
     if disc % tab.modulus:
         raise ValueError(f"{disc} is not a multiple of the tabulation's modulus")
     return tab.counts.get(disc, 0)

@@ -90,14 +90,6 @@ def _matching_labels(
     }
 
 
-def count_matching(
-    entries: list[FieldTableEntry], fd: FieldDiscriminant, galois_label: str
-) -> int:
-    """Number of distinct labels matching the discriminant datum exactly:
-    degree, r2, magnitude, and Galois label must all agree."""
-    return len(_matching_labels(entries, fd, fd.magnitude.value(), galois_label))
-
-
 @dataclass(frozen=True)
 class TableComparison:
     """Outcome of reconciling one prediction with a table.

@@ -263,9 +263,10 @@ def verify_on3(
     divide D and -D/3 otherwise; the right side is N3(D) for D < 0 and
     3 N3(D) + 1 for D > 0.  N3(-27 D) is read from tab27 when it is
     given and from tab otherwise; every other count is read from tab.
-    So tab must cover D and D* (|D*| <= 3 |D|), and tab27, which may
-    hold only discriminants divisible by 27, must cover -27 D; a count
-    its tabulation does not cover makes count_N3 raise.
+    So tab, at modulus 1, needs xmax >= |D*| (which is at least |D| and
+    at most 3 |D|), or xmax >= 27 |D| when tab27 is not given; tab27, at
+    either modulus, needs xmax >= 27 |D|.  A count its tabulation does
+    not cover makes count_N3 raise.
     """
     if not is_fundamental_discriminant(D) or D in (1, -3):
         raise ValueError(f"D = {D} is outside the identity's range")

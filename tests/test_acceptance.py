@@ -27,7 +27,7 @@ ELLS = (3, 5, 7, 11, 13)
 @pytest.fixture(scope="module")
 def tab54():
     start = time.monotonic()
-    tab = enumerate_cubic_fields(54000, 0, workers=4)
+    tab = enumerate_cubic_fields(54000, workers=4)
     return tab, time.monotonic() - start
 
 

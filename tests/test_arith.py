@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from reflectron import arith
 from reflectron.arith import (
     Factorization,
     factorize,
@@ -31,6 +32,27 @@ def test_smallest_prime_factors():
     assert len(smallest_prime_factors(10**5)) > 10**5
     assert len(primes_up_to(10**5)) == 9592
     assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+class _Refused(Exception):
+    pass
+
+
+def test_smallest_prime_factors_ceiling(monkeypatch):
+    # an array('I') entry holds at most 2^32 - 1, so a larger limit must
+    # raise before any table is built
+    def refuse(typecode, values):
+        raise _Refused(len(values))
+
+    monkeypatch.setattr(arith, "array", refuse)
+    with pytest.raises(ValueError, match="exceeds"):
+        smallest_prime_factors(2**32)
+    # doubling a table past half the ceiling stops at the ceiling; the
+    # stand-in table only reports a length, and nothing is allocated
+    monkeypatch.setattr(arith, "_spf", range(3 * 2**30))
+    with pytest.raises(_Refused) as refused:
+        smallest_prime_factors(3 * 2**30)
+    assert refused.value.args[0] == 2**32  # entries 0 .. 2^32 - 1
 
 
 def test_is_prime_small():

@@ -68,6 +68,14 @@ def test_cubic_tab_output(capsys):
     assert "49,1" in lines and "81,1" in lines
 
 
+def test_cubic_tab_past_the_sieve_ceiling_exits_1(capsys):
+    # 2^32 is one past what the sieve table can index: refused, not built
+    assert main(["cubic-tab", "--xmax", "4294967296", "--workers", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_verify_on_rows(capsys):
     code, out = run_main(capsys, ["verify-on", "--dmax", "24"])
     assert code == 0
@@ -83,7 +91,7 @@ def test_verify_on_rows(capsys):
 def test_verify_on_matches_one_full_tabulation(capsys, workers):
     # verify-on reads -27 D from a modulus-27 tabulation and the rest from
     # a dense one to 3 dmax; one full tabulation to 27 dmax is the reference
-    full = enumerate_cubic_fields(27 * 400, 0)
+    full = enumerate_cubic_fields(27 * 400)
     expected = ["ell,D,N3_Dstar,N3_27D,rhs,verdict"]
     scope = [d for d in fundamental_discriminants_in(-400, 400) if d not in (1, -3)]
     for d in sorted(scope, key=lambda d: (abs(d), d)):

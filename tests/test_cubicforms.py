@@ -19,7 +19,6 @@ from reflectron.cubicforms import (
     enumerate_cubic_fields,
     is_irreducible,
     is_maximal,
-    merge_tabulations,
 )
 
 
@@ -187,7 +186,7 @@ def test_is_maximal_golden():
 
 
 def test_enumeration_small_window():
-    tab = enumerate_cubic_fields(100, 0)
+    tab = enumerate_cubic_fields(100)
     complexes = {d: n for d, n in tab.counts.items() if d < 0}
     reals = {d: n for d, n in tab.counts.items() if d > 0}
     assert complexes == {-23: 1, -31: 1, -44: 1, -59: 1, -76: 1, -83: 1, -87: 1}
@@ -195,7 +194,7 @@ def test_enumeration_small_window():
 
 
 def test_enumeration_golden_counts():
-    tab = enumerate_cubic_fields(2000, 0)
+    tab = enumerate_cubic_fields(2000)
     assert count_N3(tab, -23) == 1
     assert count_N3(tab, -108) == 1
     assert count_N3(tab, -1208) == 1  # needs a correct sign split in the root test
@@ -205,19 +204,19 @@ def test_enumeration_golden_counts():
 
 
 def test_enumeration_sign_and_window():
-    full = enumerate_cubic_fields(2000, 0)
-    neg = enumerate_cubic_fields(2000, -1)
-    pos = enumerate_cubic_fields(2000, 1)
-    assert all(d < 0 for d in neg.counts)
-    assert all(d > 0 for d in pos.counts)
-    assert {**neg.counts, **pos.counts} == full.counts
-    inner = enumerate_cubic_fields(2000, 0, xmin=800)
-    assert inner.counts == {d: n for d, n in full.counts.items() if abs(d) > 800}
+    # each side's walk finds exactly the fields of its sign
+    full = enumerate_cubic_fields(2000).counts
+    pos: dict[int, int] = {}
+    neg: dict[int, int] = {}
+    cubicforms._real_shard(2000, 1, 0, 1, pos)
+    cubicforms._complex_shard(2000, 1, 0, 1, neg)
+    assert pos == {d: n for d, n in full.items() if d > 0}
+    assert neg == {d: n for d, n in full.items() if d < 0}
 
 
 def test_enumeration_worker_independence():
-    assert enumerate_cubic_fields(2500, 0, workers=3).counts == (
-        enumerate_cubic_fields(2500, 0, workers=1).counts
+    assert enumerate_cubic_fields(2500, workers=3).counts == (
+        enumerate_cubic_fields(2500, workers=1).counts
     )
 
 
@@ -244,14 +243,14 @@ def test_disc_d_interval_matches_brute_force():
 
 def test_enumeration_regression_at_30000():
     # recorded before the sieve and the exact d window were added
-    tab = enumerate_cubic_fields(30000, 0)
+    tab = enumerate_cubic_fields(30000)
     counts = tab.counts
     assert sum(n for d, n in counts.items() if d > 0) == 1299
     assert sum(n for d, n in counts.items() if d < 0) == 4885
     assert len(counts) == 5768
     digest = hashlib.sha256(repr(sorted(counts.items())).encode()).hexdigest()
     assert digest == "e16489830e31a5ec0eabccb231d5a6704daabb69a0d39835b6beedcd3b7521de"
-    assert enumerate_cubic_fields(30000, 0, workers=2).counts == counts
+    assert enumerate_cubic_fields(30000, workers=2).counts == counts
 
 
 def test_totally_ramified_forms_have_b_and_c_divisible_by_3():
@@ -279,13 +278,16 @@ def test_totally_ramified_forms_have_b_and_c_divisible_by_3():
 
 @pytest.mark.parametrize("sign", [-1, 1])
 def test_modulus_27_walk_finds_exactly_the_fields_with_27_dividing_disc(sign):
-    full = enumerate_cubic_fields(30000, sign).counts
-    expected = {d: n for d, n in full.items() if d % 27 == 0}
+    def side(counts):
+        return {d: n for d, n in counts.items() if (d > 0) == (sign > 0)}
+
+    full = enumerate_cubic_fields(30000).counts
+    expected = {d: n for d, n in side(full).items() if d % 27 == 0}
     assert expected  # 323 negative and 121 positive discriminants
-    tab = enumerate_cubic_fields(30000, sign, modulus=27)
+    tab = enumerate_cubic_fields(30000, modulus=27)
     assert tab.modulus == 27
-    assert tab.counts == expected
-    assert enumerate_cubic_fields(30000, sign, modulus=27, workers=2).counts == expected
+    assert side(tab.counts) == expected
+    assert side(enumerate_cubic_fields(30000, modulus=27, workers=2).counts) == expected
 
 
 class _InProcessPool:
@@ -310,11 +312,11 @@ class _InProcessPool:
 def test_enumeration_caps_shards_at_leading_coefficients(monkeypatch):
     monkeypatch.setattr(cubicforms, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(_InProcessPool, "sizes", [])
-    for sign in (0, 1):
-        serial = enumerate_cubic_fields(2000, sign).counts
-        assert enumerate_cubic_fields(2000, sign, workers=64).counts == serial
-    # at X = 2000 the negative side walks a <= 7, the positive side a <= 4
-    assert _InProcessPool.sizes == [7, 4]
+    serial = enumerate_cubic_fields(2000).counts
+    assert enumerate_cubic_fields(2000, workers=64).counts == serial
+    # at X = 2000 the negative side walks a <= 7, the positive side only
+    # a <= 4, and one shard walks both sides
+    assert _InProcessPool.sizes == [7]
     # the 19 leading coefficients of the negative side at X = 160000
     assert cubicforms._complex_amax(160000) == 19
 
@@ -327,51 +329,24 @@ def test_complex_amax_matches_the_float_bound():
 
 def test_enumeration_validation():
     with pytest.raises(ValueError):
-        enumerate_cubic_fields(-1, 0)
+        enumerate_cubic_fields(-1)
     with pytest.raises(ValueError):
-        enumerate_cubic_fields(100, 2)
+        enumerate_cubic_fields(100, workers=0)
     with pytest.raises(ValueError):
-        enumerate_cubic_fields(100, 0, xmin=200)
-    with pytest.raises(ValueError):
-        enumerate_cubic_fields(100, 0, workers=0)
-    with pytest.raises(ValueError):
-        enumerate_cubic_fields(100, 0, modulus=9)
-    # a degenerate window is legal and empty
-    assert enumerate_cubic_fields(0, 0).counts == {}
-
-
-def test_merge_tabulations():
-    lo = enumerate_cubic_fields(900, 0)
-    hi = enumerate_cubic_fields(1800, 0, xmin=900)
-    whole = merge_tabulations(lo, hi)
-    direct = enumerate_cubic_fields(1800, 0)
-    assert whole.counts == direct.counts and whole.xmax == 1800 and whole.xmin == 0
-    assert merge_tabulations(hi, lo).counts == whole.counts
-    neg = enumerate_cubic_fields(900, -1)
-    pos = enumerate_cubic_fields(900, 1)
-    assert merge_tabulations(neg, pos).counts == lo.counts
-    with pytest.raises(ValueError):
-        merge_tabulations(lo, enumerate_cubic_fields(1800, 0, xmin=1000))
-    hi27 = enumerate_cubic_fields(1800, 0, xmin=900, modulus=27)
-    with pytest.raises(ValueError):
-        merge_tabulations(lo, hi27)  # adjacent, but of different moduli
-    lo27 = enumerate_cubic_fields(900, 0, modulus=27)
-    whole27 = merge_tabulations(lo27, hi27)
-    assert whole27.modulus == 27
-    assert whole27.counts == {d: n for d, n in direct.counts.items() if d % 27 == 0}
+        enumerate_cubic_fields(100, modulus=9)
+    # xmax = 0 is legal and empty
+    assert enumerate_cubic_fields(0).counts == {}
 
 
 def test_count_n3_errors():
-    tab = enumerate_cubic_fields(500, -1)
+    tab = enumerate_cubic_fields(500)
     assert count_N3(tab, -23) == 1
     assert count_N3(tab, -24) == 0  # covered, no field there
     with pytest.raises(ValueError):
         count_N3(tab, 0)
     with pytest.raises(ValueError):
-        count_N3(tab, 49)  # wrong sign
-    with pytest.raises(ValueError):
-        count_N3(tab, -501)  # beyond the window
-    tab27 = enumerate_cubic_fields(500, -1, modulus=27)
+        count_N3(tab, -501)  # beyond xmax
+    tab27 = enumerate_cubic_fields(500, modulus=27)
     assert count_N3(tab27, -108) == 1
     assert count_N3(tab27, -27) == 0  # covered, no field there
     with pytest.raises(ValueError):
@@ -380,7 +355,7 @@ def test_count_n3_errors():
 
 def test_tabulation_to_csv(capsys):
     # the cubic-tab report is the one CSV writer of a tabulation
-    tab = enumerate_cubic_fields(100, 0)
+    tab = enumerate_cubic_fields(100)
     assert main(["cubic-tab", "--xmax", "100"]) == 0
     text = capsys.readouterr().out
     lines = text.splitlines()
@@ -397,13 +372,13 @@ def test_tabulation_to_csv(capsys):
 
 def test_tabulation_validation():
     with pytest.raises(ValueError):
-        CubicTabulation(0, 100, -1, {49: 1})  # wrong sign for the key
+        CubicTabulation(100, {-108: 1})  # beyond xmax
     with pytest.raises(ValueError):
-        CubicTabulation(0, 100, 0, {-108: 1})  # outside the window
+        CubicTabulation(100, {0: 1})
     with pytest.raises(ValueError):
-        CubicTabulation(-1, 100, 0, {})
+        CubicTabulation(-1, {})
     with pytest.raises(ValueError):
-        CubicTabulation(0, 100, 0, {-23: 1}, modulus=27)  # 27 does not divide -23
+        CubicTabulation(100, {-23: 1}, modulus=27)  # 27 does not divide -23
     with pytest.raises(ValueError):
-        CubicTabulation(0, 100, 0, {}, modulus=9)
-    assert CubicTabulation(0, 200, 0, {-108: 1}, modulus=27).counts == {-108: 1}
+        CubicTabulation(100, {}, modulus=9)
+    assert CubicTabulation(200, {-108: 1}, modulus=27).counts == {-108: 1}

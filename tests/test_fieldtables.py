@@ -8,7 +8,6 @@ from reflectron.arith import factorize, fundamental_discriminants_in
 from reflectron.fieldtables import (
     FieldTableEntry,
     compare_with_table,
-    count_matching,
     parse_field_table,
 )
 from reflectron.reflection import FieldDiscriminant, corollary5_predict, predict
@@ -85,19 +84,6 @@ def test_entry_validation():
         FieldTableEntry("x", 3, 0, -69, "S3")
 
 
-def test_count_matching():
-    entries = parse_field_table(SMALL_TABLE)
-    quintic = fd(2, 5**3 * 11**2, 5)
-    assert count_matching(entries, quintic, "F5") == 1
-    assert count_matching(entries, quintic, "D5") == 0
-    assert count_matching(entries, fd(0, 5**3 * 11**2, 5), "F5") == 0
-    assert count_matching(entries, fd(2, 5**3 * 11**2, 10), "F5") == 0
-    assert count_matching(entries, fd(0, 69, 3), "S3") == 1
-    # duplicated labels collapse to one field
-    doubled = entries + entries
-    assert count_matching(doubled, quintic, "F5") == 1
-
-
 def test_compare_cubic_exact_pass():
     table = parse_field_table("label,degree,r2,disc,galois\na,3,0,69,S3\n")
     report = compare_with_table(predict(3, -23), table)
@@ -113,6 +99,20 @@ def test_compare_cubic_wrong_signature_fails():
     assert report.verdict == "fail"
     assert (report.expected, report.observed) == (1, 0)
     assert report.missing == (69, 621)
+
+
+def test_compare_skips_wrong_galois_label_and_wrong_degree():
+    # only a at 621 matches; b sits at a target magnitude with a cyclic
+    # Galois label, and c has the right datum but degree 6, among cubics
+    text = (
+        "label,degree,r2,disc,galois\n"
+        "b,3,0,69,C3\n"
+        "c,6,0,69,S3\n"
+        "a,3,0,621,S3\n"
+    )
+    report = compare_with_table(predict(3, -23), parse_field_table(text))
+    assert (report.expected, report.observed, report.verdict) == (1, 1, "pass")
+    assert report.surplus == ()
 
 
 def test_compare_surplus_lists_labels():

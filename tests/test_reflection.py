@@ -197,7 +197,7 @@ def test_predict_golden():
 
 
 def test_verify_on3_golden():
-    tab = enumerate_cubic_fields(27 * 23, 0, workers=2)
+    tab = enumerate_cubic_fields(27 * 23, workers=2)
     report = verify_on3(-23, tab)
     assert report.lhs_terms == (0, 1) and report.rhs == 1 and report.holds
     report = verify_on3(-4, tab)
@@ -208,26 +208,24 @@ def test_verify_on3_golden():
 
 
 def test_verify_on3_validation():
-    tab = enumerate_cubic_fields(500, 0)
+    tab = enumerate_cubic_fields(500)
     for D in (1, -3, 40):
         with pytest.raises(ValueError):
             verify_on3(D, tab)
     with pytest.raises(ValueError):
         verify_on3(-20, tab)  # -27 D = 540 is past the window
-    with pytest.raises(ValueError):
-        verify_on3(-8, enumerate_cubic_fields(500, -1))  # needs both signs
     # a separate tabulation for -27 D must cover it
-    high = enumerate_cubic_fields(500, 0, modulus=27)
+    high = enumerate_cubic_fields(500, modulus=27)
     assert verify_on3(-8, tab, high) == verify_on3(-8, tab)
     with pytest.raises(ValueError):
         verify_on3(-20, tab, high)  # -27 D = 540 is past high's window
     with pytest.raises(ValueError):
         # tab must cover D* = 24, which 27 does not divide
-        verify_on3(-8, enumerate_cubic_fields(500, 0, modulus=27), high)
+        verify_on3(-8, enumerate_cubic_fields(500, modulus=27), high)
 
 
 def test_verify_on3_agrees_with_class_groups():
-    tab = enumerate_cubic_fields(27 * 30, 0, workers=2)
+    tab = enumerate_cubic_fields(27 * 30, workers=2)
     for D in fundamental_discriminants_in(-30, 30):
         if D in (1, -3):
             continue
