@@ -1,9 +1,10 @@
 """Exact integer arithmetic used by every other module.
 
 Everything here is deterministic.  Factorizations are exact (no floating
-point, no probabilistic answers left unverified): trial division handles
-the desk-scale inputs, and a Brent-cycle split with fixed parameters
-covers any stray large cofactor, so repeated runs always agree.
+point, no probabilistic answers left unverified): a shared
+smallest-prime-factor table handles the integers it covers, trial
+division the desk-scale ones past it, and a Brent-cycle split with fixed
+parameters any stray large cofactor, so repeated runs always agree.
 """
 
 from __future__ import annotations
@@ -165,13 +166,25 @@ class Factorization:
 
 
 def factorize(n: int) -> Factorization:
-    """Exact prime factorization of a nonzero integer."""
+    """Exact prime factorization of a nonzero integer.
+
+    An |n| below the length of the shared sieve table is read off it,
+    one smallest prime factor at a time; a larger one goes through
+    trial division by the primes up to min(sqrt|n|, 10^6) and a
+    Brent-cycle split of any large cofactor.
+    """
     if n == 0:
         raise ValueError("cannot factor 0")
     sign = 1 if n > 0 else -1
     n = abs(n)
     exps: dict[int, int] = {}
-    if n > 1:
+    if n < len(_spf):
+        spf = _spf
+        while n > 1:
+            p = spf[n]
+            exps[p] = exps.get(p, 0) + 1
+            n //= p
+    elif n > 1:
         for p in primes_up_to(min(_TRIAL_LIMIT, isqrt(n) + 1)):
             if p * p > n:
                 break
@@ -216,9 +229,17 @@ def is_fundamental_discriminant(d: int) -> bool:
 
 
 def fundamental_discriminants_in(lo: int, hi: int) -> list[int]:
-    """Ascending fundamental discriminants in the closed range [lo, hi]."""
+    """Ascending fundamental discriminants in the closed range [lo, hi].
+
+    The shared sieve table is first sized to max(|lo|, |hi|), so every
+    squarefree test reads off it.  That costs 4 bytes per unit of
+    max(|lo|, |hi|) (up to twice that when it regrows a smaller table),
+    in addition to the returned list; past the 2^32 - 1 ceiling of
+    smallest_prime_factors it raises ValueError before allocating.
+    """
     if lo > hi:
         raise ValueError(f"empty range [{lo}, {hi}]")
+    smallest_prime_factors(max(abs(lo), abs(hi)))
     return [d for d in range(lo, hi + 1) if d != 0 and is_fundamental_discriminant(d)]
 
 

@@ -24,7 +24,6 @@ b = c = 0 (mod 3); conversely every form with b = c = 0 (mod 3) has
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from math import ceil, floor, gcd, isqrt
 
@@ -410,6 +409,13 @@ def _complex_shard(
 # public tabulation API
 
 
+def _process_pool(workers: int):
+    # imported here, so a single-process run never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def _enumerate_shard(args: tuple[int, int, int, int]) -> dict[int, int]:
     xmax, nshards, shard, step = args
     counts: dict[int, int] = {}
@@ -447,7 +453,7 @@ def enumerate_cubic_fields(
     if nshards == 1:
         parts = [_enumerate_shard(jobs[0])]
     else:
-        with ProcessPoolExecutor(max_workers=nshards) as pool:
+        with _process_pool(nshards) as pool:
             parts = list(pool.map(_enumerate_shard, jobs))
     counts: dict[int, int] = {}
     for part in parts:

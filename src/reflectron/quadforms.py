@@ -10,6 +10,14 @@ lookup.  There the form class group under composition is the narrow
 class group; its odd part agrees with the odd part of the ordinary
 class group, which is all the reflection machinery upstream ever
 consumes.
+
+Group structure comes from counting q^k-torsion.  For each prime q | h
+one table x -> x^q over the representatives is built, and x^(q^k) is
+that table applied k times.  The class of (a, -b, c) is the inverse of
+the class of (a, b, c), and x^q is the identity exactly when (x^-1)^q
+is, so only one member of every inverse pair {x, x^-1} is ever powered:
+its partner's power is the inverse of its own, one reduction away for
+D < 0 and one lookup of (c, b, a) for D > 0.
 """
 
 from __future__ import annotations
@@ -198,9 +206,10 @@ def _principal(d: int) -> tuple[int, int, int]:
 
 
 def _reduced_forms_def(d: int) -> list[tuple[int, int, int]]:
+    # b must match d in parity for c to come out integral
     out = []
     for a in range(1, isqrt(-d // 3) + 1):
-        for b in range(-a + 1, a + 1):
+        for b in range(-a + 1 + (a + 1 + d) % 2, a + 1, 2):
             num = b * b - d
             if num % (4 * a):
                 continue
@@ -216,9 +225,7 @@ def _reduced_forms_def(d: int) -> list[tuple[int, int, int]]:
 def _reduced_forms_indef(d: int) -> list[tuple[int, int, int]]:
     # b must match d in parity for c to come out integral
     out = []
-    for b in range(1, isqrt(d) + 1):
-        if (d - b * b) % 2:
-            continue
+    for b in range(2 - d % 2, isqrt(d) + 1, 2):
         n = (d - b * b) // 4
         for e in range(1, isqrt(n) + 1):
             if n % e:
@@ -260,6 +267,27 @@ class _Group:
     ) -> tuple[int, int, int]:
         return self.canon(_compose_raw(f, g, self.d))
 
+    def inverse(self, f: tuple[int, int, int]) -> tuple[int, int, int]:
+        # (a, -b, c) lies in the inverse class, and so does (c, b, a), its
+        # image under (x, y) -> (y, -x); for D > 0 the latter is reduced
+        # whenever f is, so a reduced f's inverse is one lookup
+        a, b, c = f
+        if self.d < 0:
+            return _reduce_def(a, -b, c)
+        return self.cls[c, b, a]
+
+    def power_table(self, q: int) -> dict[tuple[int, int, int], tuple[int, int, int]]:
+        """x -> x^q over every representative.  Only one member x of each
+        inverse pair {x, x^-1} is powered: (x^-1)^q is the inverse of x^q."""
+        table = {}
+        for f in self.reps:
+            if f not in table:
+                table[f] = y = self.power(f, q)
+                g = self.inverse(f)
+                if g != f:
+                    table[g] = self.inverse(y)
+        return table
+
     def power(self, f: tuple[int, int, int], k: int) -> tuple[int, int, int]:
         # right-to-left binary powering that starts at the lowest set bit
         # of k and stops before squaring past the highest one
@@ -289,17 +317,24 @@ def _log_int(n: int, q: int) -> int:
 
 def class_group(d: int) -> ClassGroupStructure:
     """Group structure for fundamental discriminant d, as a chain of
-    elementary divisors d1 | d2 | ... (narrow class group when d > 0)."""
+    elementary divisors d1 | d2 | ... (narrow class group when d > 0).
+
+    For each prime q | h one table x -> x^q over the representatives is
+    built (see _Group.power_table); x^(q^k) is then that table applied
+    k times, so no power is computed twice."""
     grp = _group_for(d)
     h = len(grp.reps)
     parts_per_prime: dict[int, list[int]] = {}
     for q, e in factorize(h).factors if h > 1 else ():
         # counting q^k-torsion pins down the partition of the q-part:
         # m_k = log_q #{x : x^(q^k) = id} and m_k - m_(k-1) counts parts >= k
+        table = grp.power_table(q)
+        # after k steps: x^(q^k) for every x whose power is not yet the identity
+        live = grp.reps
         ms = [0]
-        for k in range(1, e + 1):
-            qk = q**k
-            cnt = sum(1 for f in grp.reps if grp.power(f, qk) == grp.identity)
+        for _ in range(e):
+            live = [y for y in map(table.__getitem__, live) if y != grp.identity]
+            cnt = h - len(live)
             m = _log_int(cnt, q)
             if q**m != cnt:
                 raise ArithmeticError(f"{q}-torsion count {cnt} is not a power of {q}")
@@ -324,11 +359,14 @@ def class_group(d: int) -> ClassGroupStructure:
 
 def ell_rank(d: int, ell: int) -> int:
     """ell-rank of the class group of fundamental discriminant d (narrow
-    for d > 0, which has the same odd part as the ordinary group)."""
+    for d > 0, which has the same odd part as the ordinary group).
+
+    Counts the identities in the power table x -> x^ell, which powers
+    only one member of every inverse pair {x, x^-1}."""
     if ell < 3 or ell % 2 == 0 or not is_prime(ell):
         raise ValueError("ell must be an odd prime")
     grp = _group_for(d)
-    cnt = sum(1 for f in grp.reps if grp.power(f, ell) == grp.identity)
+    cnt = sum(1 for y in grp.power_table(ell).values() if y == grp.identity)
     r = _log_int(cnt, ell)
     if ell**r != cnt:
         raise ArithmeticError(f"{ell}-torsion count {cnt} is not a power of {ell}")

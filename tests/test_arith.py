@@ -1,3 +1,5 @@
+from array import array
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -117,13 +119,33 @@ def test_squarefree():
     assert not squarefree(4) and not squarefree(-18) and not squarefree(0)
 
 
+def _trial_factors(n):
+    # prime factorization of n >= 1 by trial division, independent of arith
+    out, p = [], 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            out.append((p, e))
+        p += 1
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
+def _squarefree_by_trial(n):
+    return all(e == 1 for _, e in _trial_factors(abs(n)))
+
+
 def _fundamental_by_definition(d):
     if d == 1:
         return True
     if d % 4 == 1:
-        return squarefree(d)
+        return _squarefree_by_trial(d)
     if d % 4 == 0 and (d // 4) % 4 in (2, 3):
-        return squarefree(d // 4)
+        return _squarefree_by_trial(d // 4)
     return False
 
 
@@ -139,6 +161,40 @@ def test_fundamental_discriminants_in():
     assert 0 not in fundamental_discriminants_in(-1, 1)
     with pytest.raises(ValueError):
         fundamental_discriminants_in(5, 4)
+
+
+@pytest.fixture
+def fresh_sieve(monkeypatch):
+    monkeypatch.setattr(arith, "_spf", array("I"))
+    monkeypatch.setattr(arith, "_primes", [])
+    monkeypatch.setattr(arith, "_primes_end", 0)
+
+
+def test_factorize_reads_the_sieve_table(fresh_sieve):
+    expected = {n: _trial_factors(n) for n in range(1, 20001)}
+    # from an empty table: small n read off the table the first factor
+    # grows, the rest by trial division
+    for n, factors in expected.items():
+        assert factorize(n).factors == factors, n
+        assert factorize(-n).factors == factors and factorize(-n).sign == -1, n
+    assert 0 < len(arith._spf) <= 20000
+    # once the table covers the range, every n is read off it
+    smallest_prime_factors(20000)
+    for n, factors in expected.items():
+        assert factorize(n).factors == factors, n
+    # either side of the table's end
+    end = len(arith._spf)
+    for n in (end - 1, end, end + 1):
+        assert factorize(n).factors == _trial_factors(n), n
+
+
+def test_fundamental_discriminants_in_sizes_the_sieve(fresh_sieve):
+    expected = [d for d in range(-5000, 5001) if d != 0 and _fundamental_by_definition(d)]
+    assert len(arith._spf) == 0
+    assert fundamental_discriminants_in(-5000, 5000) == expected
+    assert len(arith._spf) > 5000
+    smallest_prime_factors(40000)
+    assert fundamental_discriminants_in(-5000, 5000) == expected
 
 
 def test_smallest_primitive_root():

@@ -1,14 +1,20 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+from reflectron import arith
 from reflectron.arith import fundamental_discriminants_in
 from reflectron.cli import RunConfig, emit_report, main
 from reflectron.cubicforms import enumerate_cubic_fields
 from reflectron.reflection import verify_on3
 
+ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = Path(__file__).parent / "data" / "f5_synthetic.csv"
 
 
@@ -74,6 +80,55 @@ def test_cubic_tab_past_the_sieve_ceiling_exits_1(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+def test_classgroup_past_the_sieve_ceiling_exits_1(capsys, monkeypatch):
+    # the range sizes the sieve first, so 2^32 is refused before any of
+    # its 8.6e9 integers is tested and before any table is built
+    def refuse(typecode, values):
+        raise AssertionError("a sieve table was allocated")
+
+    monkeypatch.setattr(arith, "array", refuse)
+    assert main(["classgroup", "--dmax", "4294967296"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: sieve limit 4294967296 exceeds 4294967295\n"
+
+
+def test_single_process_commands_import_no_pool():
+    # a fresh interpreter, so no other test has loaded the pool modules
+    code = (
+        "import contextlib, io, sys\n"
+        "from reflectron.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['classgroup', '--dmax', '50']),\n"
+        "             main(['verify-on', '--dmax', '50', '--workers', '1'])]\n"
+        "print(codes, [m for m in sys.modules\n"
+        "              if m.split('.')[0] in ('concurrent', 'multiprocessing')])\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[0, 0] []\n"
+
+
+@pytest.mark.parametrize(
+    "workload, argv",
+    [
+        ("classgroup", ["classgroup", "--dmax", "1600"]),
+        ("verify", ["verify-on", "--dmax", "3000", "--workers", "1"]),
+    ],
+)
+def test_report_matches_the_benchmark_reference(capsys, workload, argv):
+    # the sha256 the benchmark gates every report on, so a changed byte
+    # fails here too
+    reference = json.loads((ROOT / "bench" / "reference.json").read_text())
+    code, out = run_main(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == reference["digests"]["full"][workload]
 
 
 def test_verify_on_rows(capsys):

@@ -291,8 +291,8 @@ def test_modulus_27_walk_finds_exactly_the_fields_with_27_dividing_disc(sign):
 
 
 class _InProcessPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and maps
-    in this process, so no worker is ever started."""
+    """Stands in for cubicforms._process_pool: records the worker count
+    and maps in this process, so no worker is ever started."""
 
     sizes: list[int] = []
 
@@ -310,7 +310,7 @@ class _InProcessPool:
 
 
 def test_enumeration_caps_shards_at_leading_coefficients(monkeypatch):
-    monkeypatch.setattr(cubicforms, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(cubicforms, "_process_pool", _InProcessPool)
     monkeypatch.setattr(_InProcessPool, "sizes", [])
     serial = enumerate_cubic_fields(2000).counts
     assert enumerate_cubic_fields(2000, workers=64).counts == serial

@@ -1,3 +1,5 @@
+from math import isqrt
+
 import pytest
 
 import reflectron.quadforms as quadforms
@@ -15,20 +17,31 @@ from reflectron.quadforms import (
 )
 
 
-def _reduced_definite_count(d):
-    # independent count of Gauss-reduced positive definite forms:
-    # -a < b <= a <= c, b >= 0 whenever a == c or a == |b|
-    count = 0
-    a = 1
-    while 3 * a * a <= -d:
-        for b in range(-a + 1, a + 1):
-            num = b * b - d
-            if num % (4 * a) == 0:
-                c = num // (4 * a)
-                if c >= a and not (a == c and b < 0):
-                    count += 1
-        a += 1
-    return count
+def _reduced_forms(d):
+    # every reduced form of discriminant d, found without quadforms:
+    # Gauss-reduced for d < 0 (-a < b <= a <= c, b >= 0 when a == c), and
+    # for d > 0 the (a, b, c) with 0 < b < sqrt(d) and
+    # |sqrt(d) - 2|a|| < b
+    out = []
+    if d < 0:
+        a = 1
+        while 3 * a * a <= -d:
+            for b in range(-a + 1, a + 1):
+                num = b * b - d
+                if num % (4 * a) == 0:
+                    c = num // (4 * a)
+                    if c >= a and not (a == c and b < 0):
+                        out.append((a, b, c))
+            a += 1
+        return out
+    for b in range(1, isqrt(d) + 1):
+        if (d - b * b) % 4:
+            continue
+        ac = (b * b - d) // 4
+        for a in range(1, -ac + 1):
+            if ac % a == 0 and (2 * a - b) ** 2 < d < (2 * a + b) ** 2:
+                out += [(a, b, ac // a), (-a, b, -ac // a)]
+    return out
 
 
 def test_quadform_validation():
@@ -118,7 +131,7 @@ def test_class_group_rejects_bad_discriminants():
 
 def test_order_matches_reduced_form_count():
     for d in fundamental_discriminants_in(-400, -3):
-        assert class_group(d).order == _reduced_definite_count(d), d
+        assert class_group(d).order == len(_reduced_forms(d)), d
 
 
 def test_elementary_divisor_chain():
@@ -176,11 +189,15 @@ def test_group_law_on_representatives(d):
         assert grp.mul(e, f) == f == grp.mul(f, e)
         # (a, -b, c) lies in the inverse class
         assert grp.mul(f, (f[0], -f[1], f[2])) == e
+        assert grp.mul(f, grp.inverse(f)) == e
         for g in reps:
             fg = grp.mul(f, g)
             assert fg in reps and fg == grp.mul(g, f)
             for h in reps:
                 assert grp.mul(fg, h) == grp.mul(f, grp.mul(g, h)), (f, g, h)
+    # the power table holds x^q for every representative, partners too
+    for q in (2, 3, 5):
+        assert grp.power_table(q) == {f: grp.power(f, q) for f in reps}, q
 
 
 def test_power_of_class_number_is_identity():
@@ -217,3 +234,87 @@ def test_composition_does_not_factor(monkeypatch, d):
     class_group(d)
     # only the class number itself is factored
     assert len(calls) <= 1
+
+
+def _classes(d):
+    # one reduced form per proper equivalence class
+    out = []
+    for f in map(lambda t: QuadForm(*t), _reduced_forms(d)):
+        if not any(is_equivalent(f, g) for g in out):
+            out.append(f)
+    return out
+
+
+def _order(f, principal):
+    # repeated composition until the principal class comes back
+    x, k = f, 1
+    while not is_equivalent(x, principal):
+        x, k = compose(x, f), k + 1
+    return k
+
+
+def _log_exact(n, q):
+    r = 0
+    while q**r < n:
+        r += 1
+    assert q**r == n, (n, q)
+    return r
+
+
+def _divisors_from_orders(orders):
+    # with c(n) = #{x : ord(x) | n}, the number of elementary divisors
+    # divisible by the prime power q^k is log_q c(q^k) / c(q^(k-1))
+    h = len(orders)
+
+    def c(n):
+        return sum(1 for o in orders if n % o == 0)
+
+    largest_first = [1] * h
+    for q in range(2, h + 1):
+        if h % q or any(q % p == 0 for p in range(2, q)):
+            continue
+        k = 1
+        while h % q**k == 0:
+            for i in range(_log_exact(c(q**k) // c(q ** (k - 1)), q)):
+                largest_first[i] *= q
+            k += 1
+    return tuple(sorted(n for n in largest_first if n > 1))
+
+
+def test_class_group_matches_orders_found_by_composition():
+    # an oracle that never builds a power table: class orders come from
+    # repeated public compose, classes from is_equivalent
+    needs_k2 = asymmetric_positive = 0
+    for d in fundamental_discriminants_in(-1000, 1000):
+        if d == 1:
+            continue
+        b = d % 2
+        principal = QuadForm(1, b, (b * b - d) // 4)
+        orders = [_order(f, principal) for f in _classes(d)]
+        divisors = _divisors_from_orders(orders)
+        assert class_group(d).elementary_divisors == divisors, d
+        for ell in (3, 5, 7):
+            count = sum(1 for o in orders if ell % o == 0)
+            assert ell_rank(d, ell) == _log_exact(count, ell), (d, ell)
+        h = len(orders)
+        needs_k2 += h % 8 == 0 or h % 9 == 0
+        asymmetric_positive += d > 0 and max(orders) > 2
+    # the range reaches q^2-torsion and D > 0 classes that are not their
+    # own inverse, so both the repeated table lookup and the inverse
+    # pairs are exercised
+    assert needs_k2 and asymmetric_positive
+
+
+def test_torsion_count_that_is_not_a_power_raises(monkeypatch):
+    # a broken power map (the identity sent to a class of order 3, the
+    # other classes to the identity) gives a 3-torsion count of 2
+    other = _group_for(-23).reps[1]
+    monkeypatch.setattr(
+        quadforms._Group,
+        "power",
+        lambda self, f, k: other if f == self.identity else self.identity,
+    )
+    with pytest.raises(ArithmeticError, match="count 2 is not a power of 3"):
+        class_group(-23)
+    with pytest.raises(ArithmeticError, match="count 2 is not a power of 3"):
+        ell_rank(-23, 3)
