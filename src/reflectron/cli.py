@@ -169,11 +169,14 @@ def emit_report(results, format: str, columns: list[str] | None = None) -> str:
         columns = list(rows[0].keys()) if rows else []
     lines = [",".join(columns)]
     for row in rows:
-        lines.append(",".join(_csv_cell(row[c]) for c in columns))
+        lines.append(",".join([_csv_cell(row[c]) for c in columns]))
     return "\n".join(lines) + "\n"
 
 
 def _csv_cell(value) -> str:
+    # most cells are ints, which need no quoting
+    if type(value) is int:
+        return str(value)
     if isinstance(value, bool):
         return "true" if value else "false"
     text = str(value)

@@ -3,11 +3,16 @@
 Classes of irreducible maximal forms under the unimodular action are in
 bijection with cubic fields, form discriminant equal to field
 discriminant.  Tabulation enumerates one canonical representative per
-class with 0 < |disc| <= xmax: positive-discriminant classes are
-picked out by a reduced Hessian together with a lexicographic orbit
-minimum, negative-discriminant classes by reduction against the real
-root, where each class carries exactly two reduced representatives
-swapped by (x, y) -> (x, -y) and the sign of b (then of d) breaks the
+class with 0 < |disc| <= xmax, as one job per sign and leading
+coefficient a.  Positive-discriminant classes are picked out by a
+reduced Hessian together with a lexicographic orbit minimum.  The
+mirror (x, y) -> (x, -y) keeps the Hessian reduced and is never the
+minimum when b > 0, or b = 0 and d > 0, so only b <= 0 is walked; off
+the Hessian boundary |Q| = P or P = R the mirror is the only other
+reduced orbit member with a > 0, so the orbit search runs only there.
+Negative-discriminant classes are picked out by reduction against the
+real root, where each class carries exactly two reduced representatives
+swapped by the same mirror and the sign of b (then of d) breaks the
 tie.  All counting decisions are made by exact integer tests; floating
 point appears only in over-generous window bounds, and on the negative
 side the d range is also cut to the exact integer interval on which the
@@ -19,7 +24,8 @@ f = lam (alpha x + beta y)^3 = lam (alpha x^3 + beta y^3), so that
 b = c = 0 (mod 3); conversely every form with b = c = 0 (mod 3) has
 27 | disc.  Tabulating with modulus 27 therefore walks only b and c in
 3Z, about one ninth of the box, and finds exactly the fields with
-27 | disc; every other test is unchanged.
+27 | disc.  Since every discriminant it meets is 27 m, its sieve table
+reaches only xmax // 27; every other test is unchanged.
 """
 
 from __future__ import annotations
@@ -189,8 +195,17 @@ def is_maximal(f: CubicForm) -> bool:
 # enumeration, positive discriminant
 
 
-def _square_primes(n: int, spf) -> list[int]:
+def _square_primes(disc: int, spf, modulus: int) -> list[int]:
+    # primes p with p^2 | disc, read off a sieve table that reaches
+    # disc // modulus: with modulus 27, 3 always divides disc to a square
+    # and p != 3 does exactly when p^2 | disc // 27
     out = []
+    n = disc
+    if modulus == 27:
+        out.append(3)
+        n //= 27
+        while n % 3 == 0:
+            n //= 3
     while n > 1:
         p = spf[n]
         e = 0
@@ -240,44 +255,50 @@ def _real_amax(xmax: int) -> int:
     return isqrt(4 * isqrt(xmax) // 27) + 2
 
 
-def _real_shard(
-    xmax: int, nshards: int, shard: int, step: int, counts: dict[int, int]
-) -> None:
+def _real_walk(xmax: int, a: int, modulus: int) -> dict[int, int]:
+    # the canonical forms with leading coefficient a and 0 < disc <= xmax
+    counts: dict[int, int] = {}
+    step = _MODULI[modulus]
     rx = isqrt(xmax)
-    q4 = isqrt(rx) + 2
-    spf = smallest_prime_factors(xmax)
-    for a in range(1 + shard, _real_amax(xmax) + 1, nshards):
-        ta = 3 * a
-        na = 9 * a
-        bmax = 3 * a // 2 + q4
-        for b in range(-bmax + bmax % step, bmax + 1, step):
-            bb = b * b
-            # 1 <= P = b^2 - 3ac <= sqrt(xmax) pins the c window
-            clo = -((rx - bb) // ta)
-            chi = (bb - 1) // ta
-            for c in range(clo + -clo % step, chi + 1, step):
-                P = bb - ta * c
-                bc = b * c
-                # |Q| = |bc - 9ad| <= P pins the d window
-                dlo = -((P - bc) // na)
-                dhi = (bc + P) // na
-                for d in range(dlo, dhi + 1):
-                    R = c * c - 3 * b * d
-                    if R < P:
-                        continue
-                    Q = bc - na * d
-                    t = 4 * P * R - Q * Q
-                    # t >= 3 P^2 >= 3 here, so only the upper bound can fail
-                    if t > 3 * xmax:
-                        continue
-                    if _has_rational_root(a, b, c, d):
-                        continue
-                    disc = t // 3
-                    if not _maximal(a, b, c, d, _square_primes(disc, spf)):
-                        continue
-                    if not _canonical_real(a, b, c, d):
-                        continue
-                    counts[disc] = counts.get(disc, 0) + 1
+    spf = smallest_prime_factors(xmax // modulus)
+    ta = 3 * a
+    na = 9 * a
+    bmax = 3 * a // 2 + isqrt(rx) + 2
+    # the mirror (b, d) -> (-b, -d) keeps P, R and |Q|, and of the two
+    # the one with b > 0, or b = 0 and d > 0, is never the least
+    for b in range(-bmax + bmax % step, 1, step):
+        bb = b * b
+        # 1 <= P = b^2 - 3ac <= sqrt(xmax) pins the c window
+        clo = -((rx - bb) // ta)
+        chi = (bb - 1) // ta
+        for c in range(clo + -clo % step, chi + 1, step):
+            P = bb - ta * c
+            bc = b * c
+            # |Q| = |bc - 9ad| <= P pins the d window
+            dlo = -((P - bc) // na)
+            dhi = (bc + P) // na
+            if b == 0 and dhi > 0:
+                dhi = 0
+            for d in range(dlo, dhi + 1):
+                R = c * c - 3 * b * d
+                if R < P:
+                    continue
+                Q = bc - na * d
+                t = 4 * P * R - Q * Q
+                # t >= 3 P^2 >= 3 here, so only the upper bound can fail
+                if t > 3 * xmax:
+                    continue
+                if _has_rational_root(a, b, c, d):
+                    continue
+                disc = t // 3
+                if not _maximal(a, b, c, d, _square_primes(disc, spf, modulus)):
+                    continue
+                # off the boundary |Q| = P or P = R the mirror is the
+                # only other orbit member with a > 0 and a reduced Hessian
+                if (P == R or Q == P or Q == -P) and not _canonical_real(a, b, c, d):
+                    continue
+                counts[disc] = counts.get(disc, 0) + 1
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -352,57 +373,59 @@ def _complex_amax(xmax: int) -> int:
     return isqrt(isqrt(16 * xmax // 27)) + 2
 
 
-def _complex_shard(
-    xmax: int, nshards: int, shard: int, step: int, counts: dict[int, int]
-) -> None:
-    spf = smallest_prime_factors(xmax)
-    for a in range(1 + shard, _complex_amax(xmax) + 1, nshards):
-        tmax = (4 * xmax / 3) ** 0.25 / a + 0.01
-        qmax = ((16 * a * a * xmax) ** (1 / 3) + a * a) / (4 * a) + 0.01
-        bmax = int(a + a * tmax) + 2
-        for b in range(-bmax + bmax % step, 1, step):
-            tlo = max(-tmax, (-a - b) / a)
-            thi = min(tmax, (a - b) / a)
-            if tlo >= thi:
+def _complex_walk(xmax: int, a: int, modulus: int) -> dict[int, int]:
+    # the forms with leading coefficient a and -xmax <= disc < 0 that are
+    # reduced against the real root, b < 0 or b = 0 and d < 0
+    counts: dict[int, int] = {}
+    step = _MODULI[modulus]
+    spf = smallest_prime_factors(xmax // modulus)
+    tmax = (4 * xmax / 3) ** 0.25 / a + 0.01
+    qmax = ((16 * a * a * xmax) ** (1 / 3) + a * a) / (4 * a) + 0.01
+    bmax = int(a + a * tmax) + 2
+    for b in range(-bmax + bmax % step, 1, step):
+        tlo = max(-tmax, (-a - b) / a)
+        thi = min(tmax, (a - b) / a)
+        if tlo >= thi:
+            continue
+        glo, ghi = _quad_range(a, b, tlo, thi)
+        clo = floor(a - ghi) - 3
+        chi = ceil(qmax - glo) + 3
+        for c in range(clo + -clo % step, chi + 1, step):
+            exact = _disc_d_interval(a, b, c, xmax)
+            if exact is None:
                 continue
-            glo, ghi = _quad_range(a, b, tlo, thi)
-            clo = floor(a - ghi) - 3
-            chi = ceil(qmax - glo) + 3
-            for c in range(clo + -clo % step, chi + 1, step):
-                exact = _disc_d_interval(a, b, c, xmax)
-                if exact is None:
+            window = _d_window(a, b, c, tlo, thi, qmax)
+            if window is None:
+                continue
+            for d in range(max(window[0], exact[0]), min(window[1], exact[1]) + 1):
+                if b == 0 and d >= 0:
                     continue
-                window = _d_window(a, b, c, tlo, thi, qmax)
-                if window is None:
+                # the two reduced representatives of a class differ
+                # by (b, d) -> (-b, -d); keep b < 0, then d < 0
+                ab = a + b
+                if ab * ab + c * ab - a * d <= 0:
                     continue
-                for d in range(max(window[0], exact[0]), min(window[1], exact[1]) + 1):
-                    if b == 0 and d >= 0:
-                        continue
-                    # the two reduced representatives of a class differ
-                    # by (b, d) -> (-b, -d); keep b < 0, then d < 0
-                    ab = a + b
-                    if ab * ab + c * ab - a * d <= 0:
-                        continue
-                    ab = a - b
-                    if ab * ab + c * ab + a * d <= 0:
-                        continue
-                    if a * (c - a) <= d * (b - d):
-                        continue
-                    disc = (
-                        18 * a * b * c * d
-                        + b * b * c * c
-                        - 4 * a * c**3
-                        - 4 * b**3 * d
-                        - 27 * a * a * d * d
-                    )
-                    # -disc <= xmax already holds on the exact d interval
-                    if disc >= 0:
-                        continue
-                    if _has_rational_root(a, b, c, d):
-                        continue
-                    if not _maximal(a, b, c, d, _square_primes(-disc, spf)):
-                        continue
-                    counts[disc] = counts.get(disc, 0) + 1
+                ab = a - b
+                if ab * ab + c * ab + a * d <= 0:
+                    continue
+                if a * (c - a) <= d * (b - d):
+                    continue
+                disc = (
+                    18 * a * b * c * d
+                    + b * b * c * c
+                    - 4 * a * c**3
+                    - 4 * b**3 * d
+                    - 27 * a * a * d * d
+                )
+                # -disc <= xmax already holds on the exact d interval
+                if disc >= 0:
+                    continue
+                if _has_rational_root(a, b, c, d):
+                    continue
+                if not _maximal(a, b, c, d, _square_primes(-disc, spf, modulus)):
+                    continue
+                counts[disc] = counts.get(disc, 0) + 1
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -416,11 +439,17 @@ def _process_pool(workers: int):
     return ProcessPoolExecutor(max_workers=workers)
 
 
-def _enumerate_shard(args: tuple[int, int, int, int]) -> dict[int, int]:
-    xmax, nshards, shard, step = args
+def _run_job(job) -> dict[int, int]:
+    walk, *args = job
+    return walk(*args)
+
+
+def _merged(parts) -> dict[int, int]:
+    # parts are added as the iterator yields them, not collected first
     counts: dict[int, int] = {}
-    _real_shard(xmax, nshards, shard, step, counts)
-    _complex_shard(xmax, nshards, shard, step, counts)
+    for part in parts:
+        for disc, n in part.items():
+            counts[disc] = counts.get(disc, 0) + n
     return counts
 
 
@@ -435,10 +464,13 @@ def enumerate_cubic_fields(
     count_N3 accepts, only discriminants divisible by 27.  With the
     default modulus 1 it covers every discriminant up to xmax.
 
-    The result is independent of the worker count: shards split the
-    leading coefficient by residue and canonicity is decided per form.
-    Workers beyond the number of leading coefficients walked would get
-    empty shards, so the shard count is capped there.
+    The work is one job per sign and leading coefficient a, in
+    ascending a, so the largest jobs come first.  A pool hands the jobs
+    out one at a time and the counts of each are merged as the pool
+    yields them; a single worker runs the same jobs in this process.  The result is
+    independent of the worker count and of the order the jobs finish
+    in, since canonicity is decided per form.  The workers are capped
+    at the number of leading coefficients walked.
     """
     if xmax < 0:
         raise ValueError("xmax must be non-negative")
@@ -446,19 +478,20 @@ def enumerate_cubic_fields(
         raise ValueError("workers must be at least 1")
     if modulus not in _MODULI:
         raise ValueError("modulus must be 1 or 27")
+    ramax = _real_amax(xmax)
     # the negative side always walks at least as many a as the positive
-    nshards = min(workers, _complex_amax(xmax))
-    step = _MODULI[modulus]
-    jobs = [(xmax, nshards, s, step) for s in range(nshards)]
-    if nshards == 1:
-        parts = [_enumerate_shard(jobs[0])]
+    camax = _complex_amax(xmax)
+    jobs = [
+        (walk, xmax, a, modulus)
+        for a in range(1, camax + 1)
+        for walk in ((_real_walk, _complex_walk) if a <= ramax else (_complex_walk,))
+    ]
+    nworkers = min(workers, camax)
+    if nworkers == 1:
+        counts = _merged(map(_run_job, jobs))
     else:
-        with _process_pool(nshards) as pool:
-            parts = list(pool.map(_enumerate_shard, jobs))
-    counts: dict[int, int] = {}
-    for part in parts:
-        for disc, n in part.items():
-            counts[disc] = counts.get(disc, 0) + n
+        with _process_pool(nworkers) as pool:
+            counts = _merged(pool.map(_run_job, jobs))
     return CubicTabulation(xmax, counts, modulus)
 
 

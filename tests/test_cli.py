@@ -120,6 +120,7 @@ def test_single_process_commands_import_no_pool():
     [
         ("classgroup", ["classgroup", "--dmax", "1600"]),
         ("verify", ["verify-on", "--dmax", "3000", "--workers", "1"]),
+        ("tabulate", ["cubic-tab", "--xmax", "160000", "--workers", "2"]),
     ],
 )
 def test_report_matches_the_benchmark_reference(capsys, workload, argv):
@@ -312,6 +313,24 @@ def test_out_file_matches_stdout(capsys, tmp_path):
     assert main(["classgroup", "--dmax", "50", "--out", str(path)]) == 0
     capsys.readouterr()
     assert path.read_text() == out
+
+
+def test_csv_cells_keep_their_bytes():
+    # ints take a fast path; bools (an int subclass) still print as words
+    row = {
+        "n": -27,
+        "big": 10**20,
+        "zero": 0,
+        "t": True,
+        "f": False,
+        "comma": "a,b",
+        "quote": 'say "hi"',
+        "plain": "pass",
+    }
+    assert emit_report([row], "csv") == (
+        "n,big,zero,t,f,comma,quote,plain\n"
+        '-27,100000000000000000000,0,true,false,"a,b","say ""hi""",pass\n'
+    )
 
 
 def test_emit_report():

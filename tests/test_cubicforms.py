@@ -3,13 +3,15 @@ import itertools
 import random
 import subprocess
 import sys
+from array import array
+from collections import Counter
 
 import pytest
 import sympy
 from sympy.abc import x
 from sympy.polys.numberfields.basis import round_two
 
-from reflectron import cubicforms
+from reflectron import arith, cubicforms
 from reflectron.cli import main
 from reflectron.cubicforms import (
     CubicForm,
@@ -204,14 +206,43 @@ def test_enumeration_golden_counts():
 
 
 def test_enumeration_sign_and_window():
-    # each side's walk finds exactly the fields of its sign
+    # each side's walk finds exactly the fields of its sign, one leading
+    # coefficient at a time
     full = enumerate_cubic_fields(2000).counts
     pos: dict[int, int] = {}
     neg: dict[int, int] = {}
-    cubicforms._real_shard(2000, 1, 0, 1, pos)
-    cubicforms._complex_shard(2000, 1, 0, 1, neg)
+    for a in range(1, cubicforms._real_amax(2000) + 1):
+        for disc, n in cubicforms._real_walk(2000, a, 1).items():
+            pos[disc] = pos.get(disc, 0) + n
+    for a in range(1, cubicforms._complex_amax(2000) + 1):
+        for disc, n in cubicforms._complex_walk(2000, a, 1).items():
+            neg[disc] = neg.get(disc, 0) + n
     assert pos == {d: n for d, n in full.items() if d > 0}
     assert neg == {d: n for d, n in full.items() if d < 0}
+
+
+def test_canonicity_premises_of_the_real_walk():
+    # the real walk visits only b < 0, or b = 0 and d <= 0, and asks
+    # _canonical_real only on the boundary |Q| = P or P = R of the
+    # Hessian; both rest on these two facts, checked over a box
+    box = range(-8, 9)
+    mirrored = interior = 0
+    for a in range(1, 9):
+        for b, c, d in itertools.product(box, box, box):
+            if not cubicforms._hessian_reduced(a, b, c, d):
+                continue
+            if b > 0 or (b == 0 and d > 0):
+                # the mirror (a, -b, c, -d) is reduced and smaller
+                assert not cubicforms._canonical_real(a, b, c, d), (a, b, c, d)
+                mirrored += 1
+                continue
+            P = b * b - 3 * a * c
+            Q = b * c - 9 * a * d
+            R = c * c - 3 * b * d
+            if abs(Q) < P < R:
+                assert cubicforms._canonical_real(a, b, c, d), (a, b, c, d)
+                interior += 1
+    assert (mirrored, interior) == (635, 555)
 
 
 def test_enumeration_worker_independence():
@@ -319,6 +350,42 @@ def test_enumeration_caps_shards_at_leading_coefficients(monkeypatch):
     assert _InProcessPool.sizes == [7]
     # the 19 leading coefficients of the negative side at X = 160000
     assert cubicforms._complex_amax(160000) == 19
+
+
+class _ReversedPool(_InProcessPool):
+    """Records the jobs and yields their results last job first, as a
+    pool whose jobs finish out of order might."""
+
+    jobs: list = []
+
+    def map(self, fn, jobs):
+        self.jobs.extend(jobs)
+        return reversed([fn(job) for job in jobs])
+
+
+@pytest.mark.parametrize("modulus", [1, 27])
+def test_enumeration_jobs_cover_each_leading_coefficient_once(monkeypatch, modulus):
+    monkeypatch.setattr(cubicforms, "_process_pool", _ReversedPool)
+    monkeypatch.setattr(_ReversedPool, "sizes", [])
+    monkeypatch.setattr(_ReversedPool, "jobs", [])
+    serial = enumerate_cubic_fields(30000, modulus=modulus).counts
+    assert enumerate_cubic_fields(30000, workers=2, modulus=modulus).counts == serial
+    assert _ReversedPool.sizes == [2]
+    # one job per sign and leading coefficient, in ascending a
+    real = [(cubicforms._real_walk, 30000, a, modulus) for a in range(1, 8)]
+    cplx = [(cubicforms._complex_walk, 30000, a, modulus) for a in range(1, 14)]
+    assert (cubicforms._real_amax(30000), cubicforms._complex_amax(30000)) == (7, 13)
+    assert sorted(_ReversedPool.jobs, key=lambda job: job[2]) == _ReversedPool.jobs
+    assert Counter(_ReversedPool.jobs) == Counter(real + cplx)
+
+
+def test_modulus_27_walk_sieves_to_a_27th_of_xmax(monkeypatch):
+    # every discriminant the walk meets is 27 m, so the table reaches m
+    monkeypatch.setattr(arith, "_spf", array("I"))
+    counts = enumerate_cubic_fields(81000, modulus=27).counts
+    assert len(arith._spf) <= 81000 // 27 + 1
+    full = enumerate_cubic_fields(81000).counts
+    assert counts == {d: n for d, n in full.items() if d % 27 == 0}
 
 
 def test_complex_amax_matches_the_float_bound():
