@@ -13,10 +13,11 @@ reduced orbit member with a > 0, so the orbit search runs only there.
 Negative-discriminant classes are picked out by reduction against the
 real root, where each class carries exactly two reduced representatives
 swapped by the same mirror and the sign of b (then of d) breaks the
-tie.  All counting decisions are made by exact integer tests; floating
-point appears only in over-generous window bounds, and on the negative
-side the d range is also cut to the exact integer interval on which the
-discriminant bound holds.
+tie.  Every bound and every counting decision is an exact integer
+test, with no floating point.  On the negative side b and c are bounded
+by integer forms of the root bounds, and d runs only over the closed
+integer ranges on which the three reduction tests and
+-xmax <= disc < 0 hold, each cut found by one isqrt.
 
 A maximal cubic field has 27 | disc exactly when 3 is totally ramified,
 that is when its forms reduce mod 3 to a unit times a cube,
@@ -30,8 +31,8 @@ reaches only xmax // 27; every other test is unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import ceil, floor, gcd, isqrt
+from dataclasses import dataclass
+from math import gcd, isqrt
 
 from .arith import factorize, smallest_prime_factors
 
@@ -72,7 +73,7 @@ class CubicTabulation:
     27)."""
 
     xmax: int
-    counts: dict[int, int] = field(compare=False)
+    counts: dict[int, int]
     modulus: int = 1
 
     def __post_init__(self) -> None:
@@ -305,68 +306,55 @@ def _real_walk(xmax: int, a: int, modulus: int) -> dict[int, int]:
 # enumeration, negative discriminant
 
 
-def _quad_range(a: int, b: int, lo: float, hi: float) -> tuple[float, float]:
-    # range of a t^2 + b t over [lo, hi]
-    vals = [a * lo * lo + b * lo, a * hi * hi + b * hi]
-    v = -b / (2 * a)
-    if lo < v < hi:
-        vals.append(a * v * v + b * v)
-    return min(vals), max(vals)
+def _band(rad: int, B: int, k: int) -> tuple[int, int]:
+    # the closed range of the integers d with (k d - B)^2 <= rad, which
+    # are those with |k d - B| <= isqrt(rad); empty (lo > hi) if rad < 0
+    if rad < 0:
+        return 1, 0
+    s = isqrt(rad)
+    return -((s - B) // k), (B + s) // k
 
 
-def _d_window(
-    a: int, b: int, c: int, tlo: float, thi: float, qmax: float
-) -> tuple[int, int] | None:
-    # feasible real roots t satisfy a < q(t) <= qmax with
-    # q(t) = a t^2 + b t + c, and then d = -t q(t); the window brackets
-    # d over that set, padded outward so no true solution is missed
-    eps = 1e-6
-    disc_hi = b * b - 4 * a * (c - qmax)
-    if disc_hi < 0:
-        return None
-    rt = disc_hi**0.5
-    lo = max(tlo, (-b - rt) / (2 * a) - eps)
-    hi = min(thi, (-b + rt) / (2 * a) + eps)
-    if lo >= hi:
-        return None
-    pieces = [(lo, hi)]
-    disc_lo = b * b - 4 * a * (c - a)
-    if disc_lo > 0:
-        rt1 = disc_lo**0.5
-        r1 = (-b - rt1) / (2 * a) + eps
-        r2 = (-b + rt1) / (2 * a) - eps
-        cut = []
-        for u, v in pieces:
-            if r1 > u:
-                cut.append((u, min(v, r1)))
-            if r2 < v:
-                cut.append((max(u, r2), v))
-        pieces = [(u, v) for u, v in cut if u < v]
-        if not pieces:
-            return None
-    vals = []
-    crit = b * b - 3 * a * c
-    roots = ()
-    if crit > 0:
-        rtc = crit**0.5
-        roots = ((-b - rtc) / (3 * a), (-b + rtc) / (3 * a))
+def _without(
+    pieces: list[tuple[int, int]], lo: int, hi: int
+) -> list[tuple[int, int]]:
+    # the closed ranges in pieces less the closed range [lo, hi]
+    if lo > hi:
+        return pieces
+    out = []
     for u, v in pieces:
-        for t in (u, v, *[t for t in roots if u <= t <= v]):
-            vals.append(((-a * t - b) * t - c) * t)
-    return floor(min(vals)) - 3, ceil(max(vals)) + 3
+        if u < lo:
+            out.append((u, min(v, lo - 1)))
+        if hi < v:
+            out.append((max(u, hi + 1), v))
+    return out
 
 
-def _disc_d_interval(a: int, b: int, c: int, xmax: int) -> tuple[int, int] | None:
-    # disc = -27 a^2 d^2 + B d + C >= -xmax holds exactly for the integers
-    # d with |54 a^2 d - B| <= isqrt(B^2 + 108 a^2 (C + xmax))
+def _d_ranges(a: int, b: int, c: int, xmax: int) -> list[tuple[int, int]]:
+    # the disjoint closed d ranges, ascending, on which (a, b, c, d) is
+    # reduced against its real root, has b < 0 or b = 0 and d < 0, and
+    # has -xmax <= disc < 0.  Since 108 a^2 (disc + x) = rad - (k d - B)^2
+    # with disc = -27 a^2 d^2 + B d + C, k = 54 a^2 and
+    # rad = B^2 + 108 a^2 (C + x), disc >= -x is a band in d
+    if b > 0:
+        return []
     B = (18 * a * c - 4 * b * b) * b
     C = (b * b - 4 * a * c) * c * c
-    rad = B * B + 108 * a * a * (C + xmax)
-    if rad < 0:
-        return None
-    s = isqrt(rad)
     k = 54 * a * a
-    return -((s - B) // k), (B + s) // k
+    rad = B * B + 108 * a * a * C
+    lo, hi = _band(rad + 108 * a * a * xmax, B, k)
+    # the linear reduction tests a d < (a + b)^2 + c (a + b) and
+    # a d > -((a - b)^2 + c (a - b))
+    lo = max(lo, -((a - b) * (a - b + c)) // a + 1)
+    hi = min(hi, ((a + b) * (a + b + c) - 1) // a)
+    if b == 0:
+        hi = min(hi, -1)
+    if lo > hi:
+        return []
+    # less disc >= 0, then less d^2 - b d + a (c - a) <= 0, that is
+    # (2 d - b)^2 <= b^2 - 4 a (c - a)
+    pieces = _without([(lo, hi)], *_band(rad, B, k))
+    return _without(pieces, *_band(b * b - 4 * a * (c - a), b, 2))
 
 
 def _complex_amax(xmax: int) -> int:
@@ -375,56 +363,41 @@ def _complex_amax(xmax: int) -> int:
 
 def _complex_walk(xmax: int, a: int, modulus: int) -> dict[int, int]:
     # the forms with leading coefficient a and -xmax <= disc < 0 that are
-    # reduced against the real root, b < 0 or b = 0 and d < 0
+    # reduced against the real root t, b < 0 or b = 0 and d < 0.  With
+    # u = a t the root satisfies |u + b| < a, |u| <= (4 xmax / 3)^(1/4)
+    # < umax, and a < q(t) = c + u (u + b) / a, so |b| < a + umax, and c
+    # starts at the least value with a c > a^2 - u (u + b) for some u in
+    # -a - b < u <= min(a - b, umax), where the convex u (u + b) is
+    # greatest at an end.  Also 4 a q(t) <= (16 a^2 xmax)^(1/3) + a^2,
+    # and the least value of u (u + b) on |u + b| < a is m / 4, so c
+    # stops at the first value with (4 a c + m - a^2)^3 > 16 a^2 xmax
     counts: dict[int, int] = {}
     step = _MODULI[modulus]
     spf = smallest_prime_factors(xmax // modulus)
-    tmax = (4 * xmax / 3) ** 0.25 / a + 0.01
-    qmax = ((16 * a * a * xmax) ** (1 / 3) + a * a) / (4 * a) + 0.01
-    bmax = int(a + a * tmax) + 2
+    umax = isqrt(isqrt(4 * xmax // 3)) + 1
+    cmax = 16 * a * a * xmax
+    bmax = a + umax
     for b in range(-bmax + bmax % step, 1, step):
-        tlo = max(-tmax, (-a - b) / a)
-        thi = min(tmax, (a - b) / a)
-        if tlo >= thi:
-            continue
-        glo, ghi = _quad_range(a, b, tlo, thi)
-        clo = floor(a - ghi) - 3
-        chi = ceil(qmax - glo) + 3
-        for c in range(clo + -clo % step, chi + 1, step):
-            exact = _disc_d_interval(a, b, c, xmax)
-            if exact is None:
-                continue
-            window = _d_window(a, b, c, tlo, thi, qmax)
-            if window is None:
-                continue
-            for d in range(max(window[0], exact[0]), min(window[1], exact[1]) + 1):
-                if b == 0 and d >= 0:
-                    continue
-                # the two reduced representatives of a class differ
-                # by (b, d) -> (-b, -d); keep b < 0, then d < 0
-                ab = a + b
-                if ab * ab + c * ab - a * d <= 0:
-                    continue
-                ab = a - b
-                if ab * ab + c * ab + a * d <= 0:
-                    continue
-                if a * (c - a) <= d * (b - d):
-                    continue
-                disc = (
-                    18 * a * b * c * d
-                    + b * b * c * c
-                    - 4 * a * c**3
-                    - 4 * b**3 * d
-                    - 27 * a * a * d * d
-                )
-                # -disc <= xmax already holds on the exact d interval
-                if disc >= 0:
-                    continue
-                if _has_rational_root(a, b, c, d):
-                    continue
-                if not _maximal(a, b, c, d, _square_primes(-disc, spf, modulus)):
-                    continue
-                counts[disc] = counts.get(disc, 0) + 1
+        u = min(a - b, umax)
+        c = (a * a - max(a * (a + b), u * (u + b))) // a + 1
+        c += -c % step
+        m = -b * b if -b < 2 * a else 4 * a * (a + b)
+        while (4 * a * c + m - a * a) ** 3 <= cmax:
+            for lo, hi in _d_ranges(a, b, c, xmax):
+                for d in range(lo, hi + 1):
+                    if _has_rational_root(a, b, c, d):
+                        continue
+                    disc = (
+                        18 * a * b * c * d
+                        + b * b * c * c
+                        - 4 * a * c**3
+                        - 4 * b**3 * d
+                        - 27 * a * a * d * d
+                    )
+                    if not _maximal(a, b, c, d, _square_primes(-disc, spf, modulus)):
+                        continue
+                    counts[disc] = counts.get(disc, 0) + 1
+            c += step
     return counts
 
 
@@ -467,10 +440,10 @@ def enumerate_cubic_fields(
     The work is one job per sign and leading coefficient a, in
     ascending a, so the largest jobs come first.  A pool hands the jobs
     out one at a time and the counts of each are merged as the pool
-    yields them; a single worker runs the same jobs in this process.  The result is
-    independent of the worker count and of the order the jobs finish
-    in, since canonicity is decided per form.  The workers are capped
-    at the number of leading coefficients walked.
+    yields them; a single worker runs the same jobs in this process.
+    The result is independent of the worker count and of the order the
+    jobs finish in, since canonicity is decided per form.  The workers
+    are capped at the number of leading coefficients walked.
     """
     if xmax < 0:
         raise ValueError("xmax must be non-negative")

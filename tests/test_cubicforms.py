@@ -251,25 +251,71 @@ def test_enumeration_worker_independence():
     )
 
 
-def test_disc_d_interval_matches_brute_force():
-    seen_empty = seen_window = False
+def _reduced_against_real_root(a, b, c, d):
+    # the sign rule and the three reduction tests of the negative walk
+    if b > 0 or (b == 0 and d >= 0):
+        return False
+    return (
+        (a + b) ** 2 + c * (a + b) > a * d
+        and (a - b) ** 2 + c * (a - b) > -a * d
+        and a * (c - a) > d * (b - d)
+    )
+
+
+def test_d_ranges_match_brute_force():
+    pieces_seen = set()
     span = range(-100, 101)
     for a in range(1, 5):
         for b in range(-4, 5):
             for c in range(-6, 7):
-                discs = [(d, cubic_disc(CubicForm(a, b, c, d))) for d in span]
+                discs = [
+                    (d, cubic_disc(CubicForm(a, b, c, d)))
+                    for d in span
+                    if _reduced_against_real_root(a, b, c, d)
+                ]
                 for xmax in (0, 1, 50, 1000, 20000):
-                    brute = [d for d, disc in discs if disc >= -xmax]
-                    window = cubicforms._disc_d_interval(a, b, c, xmax)
-                    if window is None:
-                        seen_empty = True
-                        assert brute == [], (a, b, c, xmax)
-                        continue
-                    lo, hi = window
-                    assert span[0] < lo and hi < span[-1], (a, b, c, xmax)
-                    assert brute == list(range(lo, hi + 1)), (a, b, c, xmax)
-                    seen_window = seen_window or bool(brute)
-    assert seen_empty and seen_window
+                    brute = [d for d, disc in discs if -xmax <= disc < 0]
+                    ranges = cubicforms._d_ranges(a, b, c, xmax)
+                    pieces_seen.add(len(ranges))
+                    ends = [end for lo_hi in ranges for end in lo_hi]
+                    # disjoint, ascending, each nonempty, inside the span
+                    assert all(u < v for u, v in zip(ends[1::2], ends[2::2]))
+                    assert all(lo <= hi for lo, hi in ranges)
+                    assert all(span[0] < end < span[-1] for end in ends)
+                    found = [d for lo, hi in ranges for d in range(lo, hi + 1)]
+                    assert found == brute, (a, b, c, xmax)
+    assert pieces_seen == {0, 1, 2}
+
+
+@pytest.mark.parametrize("modulus", [1, 27])
+def test_complex_walk_matches_a_window_free_reference(modulus):
+    # every form in a box, checked only against the defining tests of the
+    # negative side, with no bound on b, c or d beyond the box itself
+    xmax = 2000
+    bmax, cmax, dmax = 14, 16, 26
+    ref: Counter = Counter()
+    largest = [0, 0, 0]
+    for a in range(1, cubicforms._complex_amax(xmax) + 1):
+        for b, c in itertools.product(range(-bmax, bmax + 1), range(-cmax, cmax + 1)):
+            if modulus == 27 and (b % 3 or c % 3):
+                continue
+            for d in range(-dmax, dmax + 1):
+                if not _reduced_against_real_root(a, b, c, d):
+                    continue
+                f = CubicForm(a, b, c, d)
+                disc = cubic_disc(f)
+                if not -xmax <= disc < 0:
+                    continue
+                largest = [max(m, abs(v)) for m, v in zip(largest, (b, c, d))]
+                if is_irreducible(f) and is_maximal(f):
+                    ref[disc] += 1
+    # each face of the box is at least twice the largest value reached
+    assert all(2 * m <= face for m, face in zip(largest, (bmax, cmax, dmax))), largest
+    walk: Counter = Counter()
+    for a in range(1, cubicforms._complex_amax(xmax) + 1):
+        walk.update(cubicforms._complex_walk(xmax, a, modulus))
+    assert walk == ref
+    assert sum(ref.values()) > 0
 
 
 def test_enumeration_regression_at_30000():
@@ -449,3 +495,6 @@ def test_tabulation_validation():
     with pytest.raises(ValueError):
         CubicTabulation(100, {}, modulus=9)
     assert CubicTabulation(200, {-108: 1}, modulus=27).counts == {-108: 1}
+    # the counts take part in equality
+    assert CubicTabulation(100, {-23: 1}) != CubicTabulation(100, {})
+    assert CubicTabulation(100, {-23: 1}) == CubicTabulation(100, {-23: 1})
