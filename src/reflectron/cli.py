@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from itertools import chain, islice
 
 from .arith import fundamental_discriminants_in
 from .cubicforms import enumerate_cubic_fields
@@ -35,6 +36,10 @@ _DEFAULT_FORMAT = {
 # far above any core count the enumeration can use; a larger value is a
 # typo, and each worker is a process with its own sieve
 _MAX_WORKERS = 256
+
+# CSV lines built and joined per piece of a report; a report holds one
+# chunk of rows and lines at a time, not one object per row
+_CSV_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -158,19 +163,28 @@ def emit_report(results, format: str, columns: list[str] | None = None) -> str:
     """Serialize result rows with a stable field order.
 
     JSON keeps rows as given; CSV needs flat rows and emits the listed
-    columns (defaulting to the first row's keys).
+    columns (defaulting to the first row's keys).  CSV reads `results`
+    once, as any iterable, and holds one chunk of its lines at a time
+    besides the text.
     """
-    rows = list(results)
     if format == "json":
-        return json.dumps(rows, indent=2) + "\n"
+        return json.dumps(list(results), indent=2) + "\n"
     if format != "csv":
         raise ValueError(f"unknown format {format!r}")
+    rows = iter(results)
     if columns is None:
-        columns = list(rows[0].keys()) if rows else []
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join([_csv_cell(row[c]) for c in columns]))
-    return "\n".join(lines) + "\n"
+        first = next(rows, None)
+        if first is None:
+            return "\n"
+        columns = list(first.keys())
+        rows = chain([first], rows)
+    parts = [",".join(columns)]
+    for head in rows:
+        chunk = chain([head], islice(rows, _CSV_CHUNK - 1))
+        parts.append(
+            "\n".join([",".join([_csv_cell(row[c]) for c in columns]) for row in chunk])
+        )
+    return "\n".join(parts) + "\n"
 
 
 def _csv_cell(value) -> str:
@@ -180,7 +194,7 @@ def _csv_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     text = str(value)
-    if "," in text or '"' in text:
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
 
@@ -206,11 +220,12 @@ def _run_classgroup(config: RunConfig):
 
 
 def _run_cubic_tab(config: RunConfig):
-    tab = enumerate_cubic_fields(config.xmax, workers=config.workers)
-    rows = [
-        {"disc": disc, "count": tab.counts[disc]}
-        for disc in sorted(tab.counts, key=lambda t: (abs(t), t))
-    ]
+    counts = enumerate_cubic_fields(config.xmax, workers=config.workers).counts
+    # (|disc|, disc) order with no key tuple per discriminant: the sort
+    # by abs is stable, so it keeps -m before m
+    order = sorted(counts)
+    order.sort(key=abs)
+    rows = ({"disc": disc, "count": counts[disc]} for disc in order)
     return rows, ["disc", "count"], 0
 
 

@@ -4,11 +4,13 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
+from collections.abc import Mapping
 from pathlib import Path
 
 import pytest
 
-from reflectron import arith
+from reflectron import arith, cli
 from reflectron.arith import fundamental_discriminants_in
 from reflectron.cli import RunConfig, emit_report, main
 from reflectron.cubicforms import enumerate_cubic_fields
@@ -72,6 +74,42 @@ def test_cubic_tab_output(capsys):
     assert lines[0] == "disc,count"
     assert lines[1] == "-23,1"
     assert "49,1" in lines and "81,1" in lines
+
+
+def test_cubic_tab_json_matches_the_tabulation_and_the_csv(capsys):
+    counts = enumerate_cubic_fields(2000).counts
+    expected = [
+        {"disc": disc, "count": counts[disc]}
+        for disc in sorted(counts, key=lambda t: (abs(t), t))
+    ]
+    code, out = run_main(capsys, ["cubic-tab", "--xmax", "2000", "--format", "json"])
+    assert code == 0
+    assert out == json.dumps(expected, indent=2) + "\n"
+    code, csv_out = run_main(capsys, ["cubic-tab", "--xmax", "2000"])
+    assert code == 0
+    lines = csv_out.splitlines()
+    assert lines[0] == "disc,count"
+    csv_rows = [dict(zip(("disc", "count"), map(int, line.split(",")))) for line in lines[1:]]
+    assert csv_rows == json.loads(out)
+
+
+def test_cubic_tab_report_memory_is_bounded_by_its_bytes(monkeypatch):
+    # the tabulation is built before tracing, so the traced peak is what
+    # ordering it and writing its report cost: a few bytes per report
+    # byte, not one dict and one line string per row
+    tab = enumerate_cubic_fields(30_000)
+    monkeypatch.setattr(cli, "enumerate_cubic_fields", lambda xmax, workers: tab)
+    config = RunConfig(command="cubic-tab", xmax=30_000)
+    tracemalloc.start()
+    try:
+        rows, columns, _ = cli._run_cubic_tab(config)
+        text = emit_report(rows, "csv", columns)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert text.count("\n") == 5_768 + 1
+    assert len(text) == 48_652
+    assert peak < 15 * len(text)
 
 
 def test_cubic_tab_past_the_sieve_ceiling_exits_1(capsys):
@@ -325,11 +363,13 @@ def test_csv_cells_keep_their_bytes():
         "f": False,
         "comma": "a,b",
         "quote": 'say "hi"',
+        "lf": "x\ny",
+        "cr": "x\ry",
         "plain": "pass",
     }
     assert emit_report([row], "csv") == (
-        "n,big,zero,t,f,comma,quote,plain\n"
-        '-27,100000000000000000000,0,true,false,"a,b","say ""hi""",pass\n'
+        "n,big,zero,t,f,comma,quote,lf,cr,plain\n"
+        '-27,100000000000000000000,0,true,false,"a,b","say ""hi""","x\ny","x\ry",pass\n'
     )
 
 
@@ -339,8 +379,70 @@ def test_emit_report():
     assert emit_report([{"a": True, "b": 0}], "csv") == "a,b\ntrue,0\n"
     assert emit_report([{"a": 'x,"y"'}], "csv") == 'a\n"x,""y"""\n'
     assert emit_report([{"a": 1, "b": 2}], "csv", columns=["b", "a"]) == "b,a\n2,1\n"
+    # a line break inside a cell is quoted, so the row stays one record
+    assert emit_report([{"a": "x\ny", "b": 1}], "csv") == 'a,b\n"x\ny",1\n'
     with pytest.raises(ValueError):
         emit_report([], "yaml")
+
+
+@pytest.mark.parametrize(
+    "rows, format, columns",
+    [
+        pytest.param([{"a": 1, "b": -2}, {"a": 3, "b": 4}], "csv", None, id="csv"),
+        pytest.param([{"a": 1, "b": -2}, {"a": 3, "b": 4}], "csv", ["b", "a"], id="columns"),
+        pytest.param(
+            [{"a": True, "b": 'x,"y"'}, {"a": False, "b": "p\nq"}], "csv", None, id="quoted"
+        ),
+        pytest.param([{"a": 1, "t": [{"r2": 0}]}, {"a": 2, "t": []}], "json", None, id="json"),
+        pytest.param([], "csv", None, id="csv-empty"),
+        pytest.param([], "csv", ["disc", "count"], id="columns-empty"),
+        pytest.param([], "json", None, id="json-empty"),
+    ],
+)
+def test_emit_report_streams_a_generator(rows, format, columns):
+    streamed = emit_report((row for row in rows), format, columns)
+    assert streamed == emit_report(rows, format, columns)
+
+
+def test_emit_report_joins_chunks_without_a_seam():
+    # one line per row across every chunk boundary, none lost or doubled
+    n = 2 * cli._CSV_CHUNK + 1
+    expected = "n\n" + "".join(f"{i}\n" for i in range(n))
+    assert emit_report(({"n": i} for i in range(n)), "csv") == expected
+
+
+class _CountedRow(Mapping):
+    """A one-column row that counts how many of its kind are alive."""
+
+    live = 0
+    peak = 0
+
+    def __init__(self, n):
+        self._n = n
+        _CountedRow.live += 1
+        _CountedRow.peak = max(_CountedRow.peak, _CountedRow.live)
+
+    def __del__(self):
+        _CountedRow.live -= 1
+
+    def __getitem__(self, key):
+        if key != "n":
+            raise KeyError(key)
+        return self._n
+
+    def __iter__(self):
+        return iter(("n",))
+
+    def __len__(self):
+        return 1
+
+
+def test_emit_report_holds_at_most_one_chunk_of_rows(monkeypatch):
+    monkeypatch.setattr(_CountedRow, "peak", 0)
+    text = emit_report((_CountedRow(i) for i in range(20_000)), "csv")
+    assert text.count("\n") == 20_001
+    assert 0 < _CountedRow.peak <= cli._CSV_CHUNK
+    assert _CountedRow.live == 0
 
 
 def test_runconfig_validation():
