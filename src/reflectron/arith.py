@@ -135,35 +135,6 @@ class Factorization:
         items = tuple(sorted((p, e) for p, e in exponents.items() if e != 0))
         return cls(sign, items)
 
-    def value(self) -> int:
-        out = self.sign
-        for p, e in self.factors:
-            out *= p**e
-        return out
-
-    def vp(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
-
-    def power(self, k: int) -> "Factorization":
-        if k < 0:
-            raise ValueError("negative powers are not representable")
-        if k == 0:
-            return Factorization(1, ())
-        sign = self.sign if k % 2 else 1
-        return Factorization(sign, tuple((p, e * k) for p, e in self.factors))
-
-    def without_prime(self, p: int) -> "Factorization":
-        return Factorization(self.sign, tuple((q, e) for q, e in self.factors if q != p))
-
-    def __mul__(self, other: "Factorization") -> "Factorization":
-        exps: dict[int, int] = dict(self.factors)
-        for p, e in other.factors:
-            exps[p] = exps.get(p, 0) + e
-        return Factorization.from_exponents(self.sign * other.sign, exps)
-
 
 def factorize(n: int) -> Factorization:
     """Exact prime factorization of a nonzero integer.

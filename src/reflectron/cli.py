@@ -207,7 +207,10 @@ def _scope(config: RunConfig, *exclude: int):
         for d in fundamental_discriminants_in(-config.dmax, config.dmax)
         if abs(d) > 1 and d not in exclude
     ]
-    return sorted(out, key=lambda d: (abs(d), d))
+    # (|d|, d) order: the list is ascending and the sort by abs is
+    # stable, so it keeps -m before m
+    out.sort(key=abs)
+    return out
 
 
 def _run_classgroup(config: RunConfig):

@@ -23,7 +23,7 @@ _HEADER = "label,degree,r2,disc,galois"
 @dataclass(frozen=True)
 class FieldTableEntry:
     """One table row: a labelled field with its discriminant datum, the
-    magnitude kept as the plain int |disc| since it is only compared."""
+    magnitude the int |disc|, compared as is with FieldDiscriminant.magnitude."""
 
     label: str
     degree: int
@@ -77,13 +77,12 @@ def parse_field_table(stream) -> list[FieldTableEntry]:
 
 
 def _matching_labels(
-    entries: list[FieldTableEntry], fd: FieldDiscriminant, magnitude: int, galois_label: str
+    entries: list[FieldTableEntry], fd: FieldDiscriminant, galois_label: str
 ) -> set[str]:
-    # magnitude is fd.magnitude.value(), passed in so callers compute it once
     return {
         e.label
         for e in entries
-        if e.disc_magnitude == magnitude
+        if e.disc_magnitude == fd.magnitude
         and e.degree == fd.degree
         and e.r2 == fd.r2
         and e.galois_label == galois_label
@@ -147,14 +146,13 @@ def compare_with_table(
     if entries and all(e.degree != targets[0].degree for e in entries):
         raise ValueError(f"table has no degree-{targets[0].degree} entries")
     galois = _galois_label_for(ell)
-    magnitudes = [fd.magnitude.value() for fd in targets]
     matched: set[str] = set()
-    for fd, magnitude in zip(targets, magnitudes):
-        matched |= _matching_labels(entries, fd, magnitude, galois)
+    for fd in targets:
+        matched |= _matching_labels(entries, fd, galois)
     observed = len(matched)
     note = ""
     if exact and assume_complete_below is not None:
-        beyond = [m for m in magnitudes if m > assume_complete_below]
+        beyond = [fd for fd in targets if fd.magnitude > assume_complete_below]
         if beyond:
             exact = False
             note = f"{len(beyond)} of {len(targets)} targets exceed the completeness bound"

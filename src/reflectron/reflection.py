@@ -13,7 +13,7 @@ ell = 5 an aggregate over the resolvent pair (d, 5d) removes the
 primitive-root side condition and is again exactly checkable.
 
 Discriminants of candidate fields are handled as FieldDiscriminant
-values: signature plus factored magnitude, since a signed integer alone
+values: signature plus integer magnitude, since a signed integer alone
 would conflate signatures in even degree.
 """
 
@@ -21,13 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import (
-    Factorization,
-    factorize,
-    is_fundamental_discriminant,
-    is_prime,
-    smallest_primitive_root,
-)
+from .arith import is_fundamental_discriminant, is_prime, smallest_primitive_root
 from .cubicforms import CubicTabulation, count_N3
 from .quadforms import ell_rank
 
@@ -43,7 +37,7 @@ class FieldDiscriminant:
     """
 
     r2: int
-    magnitude: Factorization
+    magnitude: int
     degree: int
 
     def __post_init__(self) -> None:
@@ -51,11 +45,11 @@ class FieldDiscriminant:
             raise ValueError("degree must be positive")
         if self.r2 < 0 or 2 * self.r2 > self.degree:
             raise ValueError(f"r2 = {self.r2} is impossible in degree {self.degree}")
-        if self.magnitude.sign != 1:
+        if self.magnitude < 1:
             raise ValueError("magnitude must be positive")
 
     def signed_value(self) -> int:
-        return (-1) ** self.r2 * self.magnitude.value()
+        return (-1) ** self.r2 * self.magnitude
 
 
 def _check_ell(ell: int) -> None:
@@ -83,9 +77,9 @@ def _reflected_disc(ell: int, D: int, k: int, degree: int) -> FieldDiscriminant:
     # exactly when D < 0
     half = (ell - 1) // 2
     v = ell - 3 + k if D % ell == 0 and ell % 4 == 3 else ell - 2 + k
-    away = factorize(abs(D)).without_prime(ell).power(half)
-    magnitude = Factorization.from_exponents(1, {ell: v}) * away
-    return FieldDiscriminant(0 if D < 0 else half, magnitude, degree)
+    # a fundamental D holds at most one factor of the odd prime ell
+    away = abs(D) // ell if D % ell == 0 else abs(D)
+    return FieldDiscriminant(0 if D < 0 else half, ell**v * away**half, degree)
 
 
 def mirror_disc(ell: int, D: int) -> FieldDiscriminant:
@@ -101,14 +95,16 @@ def mirror_disc(ell: int, D: int) -> FieldDiscriminant:
     return _reflected_disc(ell, D, 0, ell - 1)
 
 
-def _exact_root(f: Factorization, k: int) -> int | None:
-    # k-th root of a positive factored integer, None when not exact
-    if any(e % k for _, e in f.factors):
-        return None
-    out = 1
-    for p, e in f.factors:
-        out *= p ** (e // k)
-    return out
+def _exact_root(n: int, k: int) -> int | None:
+    # k-th root of a positive integer, None when not exact.  Integer
+    # Newton's method from 2^ceil(bits/k) > n^(1/k): the iterates fall
+    # strictly until they reach floor(n^(1/k)), where they stop falling
+    x = 1 << ((n.bit_length() + k - 1) // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x if x**k == n else None
+        x = y
 
 
 def classify_mirror(F_disc: FieldDiscriminant, ell: int) -> int:
@@ -131,8 +127,10 @@ def classify_mirror(F_disc: FieldDiscriminant, ell: int) -> int:
         sign = 1
     else:
         raise ValueError(f"r2 = {F_disc.r2} matches neither mirror signature")
-    v = F_disc.magnitude.vp(ell)
-    root = _exact_root(F_disc.magnitude.without_prime(ell), half)
+    v, away = 0, F_disc.magnitude
+    while away % ell == 0:
+        v, away = v + 1, away // ell
+    root = _exact_root(away, half)
     candidates = []
     if root is not None:
         if v == ell - 2:
@@ -154,7 +152,7 @@ def dl_disc(ell: int, D: int) -> FieldDiscriminant:
     _check_ell(ell)
     _check_quadratic(D)
     half = (ell - 1) // 2
-    return FieldDiscriminant(half if D < 0 else 0, factorize(abs(D)).power(half), ell)
+    return FieldDiscriminant(half if D < 0 else 0, abs(D) ** half, ell)
 
 
 def count_Dl(ell: int, D: int) -> int:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from reflectron.arith import factorize, fundamental_discriminants_in
+from reflectron.arith import fundamental_discriminants_in
 from reflectron.fieldtables import (
     FieldTableEntry,
     compare_with_table,
@@ -27,7 +27,7 @@ def entry(label, degree, r2, disc, galois):
 
 
 def fd(r2, magnitude, degree):
-    return FieldDiscriminant(r2, factorize(magnitude), degree)
+    return FieldDiscriminant(r2, magnitude, degree)
 
 
 def test_parse_golden():

@@ -1,7 +1,7 @@
 import pytest
 
 from reflectron import reflection
-from reflectron.arith import Factorization, factorize, fundamental_discriminants_in
+from reflectron.arith import fundamental_discriminants_in
 from reflectron.cubicforms import enumerate_cubic_fields
 from reflectron.quadforms import ell_rank
 from reflectron.reflection import (
@@ -22,7 +22,7 @@ ELLS = (3, 5, 7, 11, 13)
 
 
 def fd(r2, magnitude, degree):
-    return FieldDiscriminant(r2, factorize(magnitude), degree)
+    return FieldDiscriminant(r2, magnitude, degree)
 
 
 def _valid_discs(ell, bound):
@@ -33,11 +33,13 @@ def _valid_discs(ell, bound):
 
 def test_field_discriminant_validation():
     with pytest.raises(ValueError):
-        FieldDiscriminant(2, factorize(23), 3)  # 2 r2 exceeds the degree
+        FieldDiscriminant(2, 23, 3)  # 2 r2 exceeds the degree
     with pytest.raises(ValueError):
-        FieldDiscriminant(-1, factorize(23), 3)
+        FieldDiscriminant(-1, 23, 3)
     with pytest.raises(ValueError):
-        FieldDiscriminant(0, factorize(-23), 3)  # magnitude carries no sign
+        FieldDiscriminant(0, -23, 3)  # magnitude carries no sign
+    with pytest.raises(ValueError):
+        FieldDiscriminant(0, 0, 3)
     assert fd(1, 23, 3).signed_value() == -23
     assert fd(2, 1125, 4).signed_value() == 1125
 
@@ -71,11 +73,21 @@ def test_classify_mirror_golden():
 
 
 def test_classify_mirror_round_trip():
-    for ell in ELLS:
-        for D in _valid_discs(ell, 300):
-            if D % ell == 0 and ell % 4 == 1:
-                continue  # the fiber collapses onto the quotient here
-            assert classify_mirror(mirror_disc(ell, D), ell) == D, (ell, D)
+    # |D| near 10^5 puts the magnitudes past 2^53 at ell = 7 and near
+    # 10^30 away from 13 at ell = 13, out of reach of a float root
+    large = fundamental_discriminants_in(-(10**5) - 30, -(10**5) + 30)
+    large += fundamental_discriminants_in(10**5 - 30, 10**5 + 30)
+    cases = [(ell, D) for ell in ELLS for D in _valid_discs(ell, 300)]
+    cases += [(ell, D) for ell in (7, 13) for D in large]
+    for ell, D in cases:
+        if D % ell == 0 and ell % 4 == 1:
+            continue  # the fiber collapses onto the quotient here
+        assert classify_mirror(mirror_disc(ell, D), ell) == D, (ell, D)
+    # away from ell, one more than an exact power: no discriminant maps here
+    with pytest.raises(ValueError):
+        classify_mirror(fd(0, 7**5 * (99_997**3 + 1), 6), 7)
+    with pytest.raises(ValueError):
+        classify_mirror(fd(0, 13**11 * (99_997**6 + 1), 12), 13)
 
 
 def test_classify_mirror_fiber_prefers_coprime():
@@ -159,11 +171,18 @@ def test_targets_match_conductor_outputs():
             assert produced == set(target_discs(ell, D)), (ell, D)
 
 
+def _valuation(n, p):
+    v = 0
+    while n % p == 0:
+        v, n = v + 1, n // p
+    return v
+
+
 def test_target_valuation_gap_is_max_exponent():
     for ell in ELLS:
         for D in _valid_discs(ell, 300):
             lo, hi = target_discs(ell, D)
-            gap = hi.magnitude.vp(ell) - lo.magnitude.vp(ell)
+            gap = _valuation(hi.magnitude, ell) - _valuation(lo.magnitude, ell)
             assert gap == max(admissible_conductor_exponents(ell, D)), (ell, D)
             if D % ell:
                 assert gap == 2
@@ -272,5 +291,5 @@ def test_corollary5_targets_are_pair_union():
 def test_factored_magnitudes_are_exact():
     record = predict(13, -4)
     lo, hi = record.targets
-    assert lo.magnitude == Factorization.from_exponents(1, {13: 11, 2: 12})
-    assert hi.magnitude == Factorization.from_exponents(1, {13: 13, 2: 12})
+    assert lo.magnitude == 13**11 * 2**12
+    assert hi.magnitude == 13**13 * 2**12
