@@ -5,6 +5,8 @@ point, no probabilistic answers left unverified): a shared
 smallest-prime-factor table handles the integers it covers, trial
 division the desk-scale ones past it, and a Brent-cycle split with fixed
 parameters any stray large cofactor, so repeated runs always agree.
+Squarefreeness, and with it every fundamental discriminant test, walks
+the same table with no Factorization for the integers it covers.
 """
 
 from __future__ import annotations
@@ -177,9 +179,27 @@ def factorize(n: int) -> Factorization:
 
 
 def squarefree(n: int) -> bool:
+    """True when no prime square divides the nonzero integer n.
+
+    An |n| below the length of the shared sieve table is walked one
+    smallest prime factor at a time, which come in ascending order, so
+    the first prime seen twice in a row settles it; a larger one is
+    factorized.
+    """
     if n == 0:
         return False
-    return all(e == 1 for _, e in factorize(n).factors)
+    n = abs(n)
+    if n >= len(_spf):
+        return all(e == 1 for _, e in factorize(n).factors)
+    spf = _spf
+    last = 1
+    while n > 1:
+        p = spf[n]
+        if p == last:
+            return False
+        last = p
+        n //= p
+    return True
 
 
 def is_fundamental_discriminant(d: int) -> bool:
@@ -203,10 +223,11 @@ def fundamental_discriminants_in(lo: int, hi: int) -> list[int]:
     """Ascending fundamental discriminants in the closed range [lo, hi].
 
     The shared sieve table is first sized to max(|lo|, |hi|), so every
-    squarefree test reads off it.  That costs 4 bytes per unit of
-    max(|lo|, |hi|) (up to twice that when it regrows a smaller table),
-    in addition to the returned list; past the 2^32 - 1 ceiling of
-    smallest_prime_factors it raises ValueError before allocating.
+    squarefree test walks it and none factorizes.  That costs 4 bytes
+    per unit of max(|lo|, |hi|) (up to twice that when it regrows a
+    smaller table), in addition to the returned list; past the 2^32 - 1
+    ceiling of smallest_prime_factors it raises ValueError before
+    allocating.
     """
     if lo > hi:
         raise ValueError(f"empty range [{lo}, {hi}]")

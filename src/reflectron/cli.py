@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 from itertools import chain, islice
 
-from .arith import fundamental_discriminants_in
+from .arith import fundamental_discriminants_in, smallest_prime_factors
 from .cubicforms import enumerate_cubic_fields
 from .fieldtables import compare_with_table, parse_field_table
 from .quadforms import class_group
@@ -258,6 +258,10 @@ def _run_verify_on(config: RunConfig):
 
 def _predictions(config: RunConfig):
     if config.corollary5:
+        if config.d is None:
+            # each d also reads the class group of 5 d: a sieve that
+            # covers 5 dmax lets every fundamental discriminant test walk it
+            smallest_prime_factors(5 * config.dmax)
         for d in _scope(config, 5, -5):
             if config.d is None and d % 5 == 0:
                 continue

@@ -11,13 +11,16 @@ class group; its odd part agrees with the odd part of the ordinary
 class group, which is all the reflection machinery upstream ever
 consumes.
 
-Group structure comes from counting q^k-torsion.  For each prime q | h
-one table x -> x^q over the representatives is built, and x^(q^k) is
-that table applied k times.  The class of (a, -b, c) is the inverse of
-the class of (a, b, c), and x^q is the identity exactly when (x^-1)^q
-is, so only one member of every inverse pair {x, x^-1} is ever powered:
-its partner's power is the inverse of its own, one reduction away for
-D < 0 and one lookup of (c, b, a) for D > 0.
+Group structure comes from the class number h where h decides it: a
+prime q with q || h gives the q-part Z/q, since a group of order q is
+cyclic, so the ell-rank is 0 when ell does not divide h and 1 when
+ell || h.  Only a prime q with q^2 | h needs q^k-torsion counted.  For
+each such q one table x -> x^q over the representatives is built, and
+x^(q^k) is that table applied k times.  The class of (a, -b, c) is the
+inverse of the class of (a, b, c), and x^q is the identity exactly when
+(x^-1)^q is, so only one member of every inverse pair {x, x^-1} is ever
+powered: its partner's power is the inverse of its own, one reduction
+away for D < 0 and one lookup of (c, b, a) for D > 0.
 """
 
 from __future__ import annotations
@@ -319,13 +322,18 @@ def class_group(d: int) -> ClassGroupStructure:
     """Group structure for fundamental discriminant d, as a chain of
     elementary divisors d1 | d2 | ... (narrow class group when d > 0).
 
-    For each prime q | h one table x -> x^q over the representatives is
-    built (see _Group.power_table); x^(q^k) is then that table applied
-    k times, so no power is computed twice."""
+    A prime q with q || h gives the part Z/q with no composition.  For
+    each prime q with q^2 | h one table x -> x^q over the
+    representatives is built (see _Group.power_table); x^(q^k) is then
+    that table applied k times, so no power is computed twice."""
     grp = _group_for(d)
     h = len(grp.reps)
     parts_per_prime: dict[int, list[int]] = {}
     for q, e in factorize(h).factors if h > 1 else ():
+        if e == 1:
+            # a group of prime order q is cyclic
+            parts_per_prime[q] = [1]
+            continue
         # counting q^k-torsion pins down the partition of the q-part:
         # m_k = log_q #{x : x^(q^k) = id} and m_k - m_(k-1) counts parts >= k
         table = grp.power_table(q)
@@ -361,11 +369,16 @@ def ell_rank(d: int, ell: int) -> int:
     """ell-rank of the class group of fundamental discriminant d (narrow
     for d > 0, which has the same odd part as the ordinary group).
 
-    Counts the identities in the power table x -> x^ell, which powers
-    only one member of every inverse pair {x, x^-1}."""
+    The class number h decides it unless ell^2 | h: the rank is 0 when
+    ell does not divide h and 1 when ell || h.  Otherwise it counts the
+    identities in the power table x -> x^ell, which powers only one
+    member of every inverse pair {x, x^-1}."""
     if ell < 3 or ell % 2 == 0 or not is_prime(ell):
         raise ValueError("ell must be an odd prime")
     grp = _group_for(d)
+    h = len(grp.reps)
+    if h % (ell * ell):
+        return 1 if h % ell == 0 else 0
     cnt = sum(1 for y in grp.power_table(ell).values() if y == grp.identity)
     r = _log_int(cnt, ell)
     if ell**r != cnt:

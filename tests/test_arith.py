@@ -3,7 +3,7 @@ from array import array
 import pytest
 from hypothesis import given, strategies as st
 
-from reflectron import arith
+from reflectron import arith, quadforms
 from reflectron.arith import (
     Factorization,
     factorize,
@@ -15,6 +15,9 @@ from reflectron.arith import (
     smallest_primitive_root,
     squarefree,
 )
+from reflectron.cubicforms import enumerate_cubic_fields
+from reflectron.quadforms import _group_for
+from reflectron.reflection import corollary5_predict, verify_on3
 
 
 def test_primes_up_to():
@@ -189,6 +192,60 @@ def test_fundamental_discriminants_in_sizes_the_sieve(fresh_sieve):
     assert len(arith._spf) > 5000
     smallest_prime_factors(40000)
     assert fundamental_discriminants_in(-5000, 5000) == expected
+
+
+def _count_factorize(monkeypatch, *modules):
+    # factorize calls, each checked to lie past the sieve table
+    calls = []
+    real = arith.factorize
+
+    def counted(n):
+        assert abs(n) >= len(arith._spf), n
+        calls.append(n)
+        return real(n)
+
+    for module in modules:
+        monkeypatch.setattr(module, "factorize", counted)
+    return calls
+
+
+def test_squarefree_walks_the_sieve_table(fresh_sieve, monkeypatch):
+    expected = {n: _squarefree_by_trial(n) for n in range(1, 20001)}
+    calls = _count_factorize(monkeypatch, arith)
+    # from an empty table: small n walk the table the first factorization
+    # grows, the rest are factorized
+    for n, flag in expected.items():
+        assert squarefree(n) == squarefree(-n) == flag, n
+    assert calls and 0 < len(arith._spf) <= 20000
+    # once the table covers the range, no n is factorized
+    smallest_prime_factors(20000)
+    calls.clear()
+    for n, flag in expected.items():
+        assert squarefree(n) == squarefree(-n) == flag, n
+    assert calls == []
+    # either side of the table's end
+    end = len(arith._spf)
+    for n in (end - 1, end, end + 1):
+        assert squarefree(n) == _squarefree_by_trial(n), n
+    assert calls == [end, end + 1]
+
+
+def test_scoped_checks_do_not_factor_once_the_sieve_covers_them(
+    fresh_sieve, monkeypatch
+):
+    dmax = 300
+    tab = enumerate_cubic_fields(27 * 100)
+    scope = [d for d in fundamental_discriminants_in(-dmax, dmax) if d != 1]
+    # corollary5_predict(d) also reads the class group of 5 d
+    smallest_prime_factors(5 * dmax)
+    calls = _count_factorize(monkeypatch, arith, quadforms)
+    for d in scope:
+        _group_for(d)
+        if abs(d) <= 100 and d != -3:
+            verify_on3(d, tab)
+        if d % 5:
+            corollary5_predict(d)
+    assert calls == []
 
 
 def test_smallest_primitive_root():

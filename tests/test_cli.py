@@ -1,10 +1,13 @@
 import hashlib
+import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 import time
 import tracemalloc
+from array import array
 from collections.abc import Mapping
 from pathlib import Path
 
@@ -159,15 +162,55 @@ def test_single_process_commands_import_no_pool():
         ("classgroup", ["classgroup", "--dmax", "1600"]),
         ("verify", ["verify-on", "--dmax", "3000", "--workers", "1"]),
         ("tabulate", ["cubic-tab", "--xmax", "160000", "--workers", "2"]),
+        ("reconcile", ["check-table", "--table", "{table}", "--corollary5", "--dmax", "300"]),
     ],
 )
-def test_report_matches_the_benchmark_reference(capsys, workload, argv):
+def test_report_matches_the_benchmark_reference(capsys, monkeypatch, tmp_path, workload, argv):
     # the sha256 the benchmark gates every report on, so a changed byte
     # fails here too
     reference = json.loads((ROOT / "bench" / "reference.json").read_text())
+    if workload == "reconcile":
+        # one table from the benchmark's own seeded generator, loaded
+        # without writing bytecode next to it; the report does not
+        # depend on the seed
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        spec = importlib.util.spec_from_file_location(
+            "bench_workloads", ROOT / "bench" / "workloads.py"
+        )
+        workloads = importlib.util.module_from_spec(spec)
+        # its dataclass looks its module up by name
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        lhs = {int(d): n for d, n in reference["corollary5_lhs"].items()}
+        table = tmp_path / "reconcile_table.csv"
+        table.write_text(workloads.reconcile_table(300, 800, random.Random(0), lhs))
+        argv = [str(table) if arg == "{table}" else arg for arg in argv]
     code, out = run_main(capsys, argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == reference["digests"]["full"][workload]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classgroup", "--dmax", "300"],
+        ["verify-on", "--dmax", "100", "--workers", "1"],
+        ["corollary5", "--dmax", "300"],
+    ],
+)
+def test_scoped_commands_test_discriminants_off_the_sieve(capsys, monkeypatch, argv):
+    # from an empty sieve, as in a fresh process: every fundamental
+    # discriminant test walks the table the command sizes, so the
+    # squarefree path never factorizes
+    monkeypatch.setattr(arith, "_spf", array("I"))
+    monkeypatch.setattr(arith, "_primes", [])
+    monkeypatch.setattr(arith, "_primes_end", 0)
+    calls = []
+    real = arith.factorize
+    monkeypatch.setattr(arith, "factorize", lambda n: calls.append(n) or real(n))
+    code, out = run_main(capsys, argv)
+    assert code == 0 and out
+    assert calls == []
 
 
 def test_verify_on_rows(capsys):

@@ -306,15 +306,48 @@ def test_class_group_matches_orders_found_by_composition():
 
 
 def test_torsion_count_that_is_not_a_power_raises(monkeypatch):
-    # a broken power map (the identity sent to a class of order 3, the
-    # other classes to the identity) gives a 3-torsion count of 2
-    other = _group_for(-23).reps[1]
+    # h = 9 with group (Z/3)^2, so 3^2 | h and both entry points count
+    # 3-torsion; a broken power map (the identity sent to a class of
+    # order 3, the other classes to the identity) gives a count of 8
+    other = _group_for(-4027).reps[1]
     monkeypatch.setattr(
         quadforms._Group,
         "power",
         lambda self, f, k: other if f == self.identity else self.identity,
     )
-    with pytest.raises(ArithmeticError, match="count 2 is not a power of 3"):
-        class_group(-23)
-    with pytest.raises(ArithmeticError, match="count 2 is not a power of 3"):
-        ell_rank(-23, 3)
+    with pytest.raises(ArithmeticError, match="3-torsion count 8 is not a power of 3"):
+        class_group(-4027)
+    with pytest.raises(ArithmeticError, match="3-torsion count 8 is not a power of 3"):
+        ell_rank(-4027, 3)
+
+
+def test_power_tables_only_where_the_class_number_leaves_the_structure_open(
+    monkeypatch,
+):
+    # a q-part of order q is Z/q and ell-rank is 0 or 1 when ell^2 does
+    # not divide h, so a power table is built only for primes q with q^2 | h
+    calls = []
+    real = quadforms._Group.power_table
+    monkeypatch.setattr(
+        quadforms._Group, "power_table", lambda self, q: calls.append(q) or real(self, q)
+    )
+
+    def tables(fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls)
+
+    # h = 3, 5, 3
+    for d, divisors in ((-23, (3,)), (-47, (5,)), (229, (3,))):
+        assert tables(class_group, d) == 0, d
+        assert class_group(d).elementary_divisors == divisors
+    # h = 5, 1, 3
+    for d, ell, rank in ((-47, 5, 1), (-4, 3, 0), (229, 3, 1)):
+        assert tables(ell_rank, d, ell) == 0, (d, ell)
+        assert ell_rank(d, ell) == rank
+    # h = 27, 16, 27: one prime with q^2 | h
+    assert tables(class_group, -3299) == 1
+    assert tables(class_group, 1596) == 1
+    assert tables(ell_rank, -3299, 3) == 1
+    # h = 36: both 2^2 and 3^2 divide it
+    assert tables(class_group, -3896) == 2
