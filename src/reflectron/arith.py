@@ -14,6 +14,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache
 from math import gcd, isqrt
 
 _TRIAL_LIMIT = 10**6
@@ -235,8 +236,10 @@ def fundamental_discriminants_in(lo: int, hi: int) -> list[int]:
     return [d for d in range(lo, hi + 1) if d != 0 and is_fundamental_discriminant(d)]
 
 
+@cache
 def smallest_primitive_root(ell: int) -> int:
-    """Least positive primitive root modulo an odd prime ell."""
+    """Least positive primitive root modulo an odd prime ell, found once
+    per ell: a run of predictions at one ell factors ell - 1 only once."""
     if ell % 2 == 0 or not is_prime(ell):
         raise ValueError(f"{ell} is not an odd prime")
     phi = ell - 1

@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, islice
 
 from .arith import fundamental_discriminants_in, smallest_prime_factors
@@ -163,21 +163,17 @@ def emit_report(results, format: str, columns: list[str] | None = None) -> str:
     """Serialize result rows with a stable field order.
 
     JSON keeps rows as given; CSV needs flat rows and emits the listed
-    columns (defaulting to the first row's keys).  CSV reads `results`
-    once, as any iterable, and holds one chunk of its lines at a time
-    besides the text.
+    columns, which it requires.  CSV reads `results` once, as any
+    iterable, and holds one chunk of its lines at a time besides the
+    text.
     """
     if format == "json":
         return json.dumps(list(results), indent=2) + "\n"
     if format != "csv":
         raise ValueError(f"unknown format {format!r}")
-    rows = iter(results)
     if columns is None:
-        first = next(rows, None)
-        if first is None:
-            return "\n"
-        columns = list(first.keys())
-        rows = chain([first], rows)
+        raise ValueError("a CSV report needs its columns")
+    rows = iter(results)
     parts = [",".join(columns)]
     for head in rows:
         chunk = chain([head], islice(rows, _CSV_CHUNK - 1))
@@ -214,12 +210,10 @@ def _scope(config: RunConfig, *exclude: int):
 
 
 def _run_classgroup(config: RunConfig):
-    rows = []
     for d in _scope(config):
         grp = class_group(d)
         divisors = "x".join(str(n) for n in grp.elementary_divisors) or "1"
-        rows.append({"D": d, "h": grp.order, "divisors": divisors, "narrow": grp.narrow})
-    return rows, ["D", "h", "divisors", "narrow"], 0
+        yield {"D": d, "h": grp.order, "divisors": divisors, "narrow": grp.narrow}
 
 
 def _run_cubic_tab(config: RunConfig):
@@ -228,8 +222,8 @@ def _run_cubic_tab(config: RunConfig):
     # by abs is stable, so it keeps -m before m
     order = sorted(counts)
     order.sort(key=abs)
-    rows = ({"disc": disc, "count": counts[disc]} for disc in order)
-    return rows, ["disc", "count"], 0
+    for disc in order:
+        yield {"disc": disc, "count": counts[disc]}
 
 
 def _run_verify_on(config: RunConfig):
@@ -237,23 +231,16 @@ def _run_verify_on(config: RunConfig):
     # the fields with 27 | disc are the ones the modulus-27 walk finds
     low = enumerate_cubic_fields(3 * config.dmax, workers=config.workers)
     high = enumerate_cubic_fields(27 * config.dmax, workers=config.workers, modulus=27)
-    rows = []
-    failed = False
     for d in _scope(config, -3):
         report = verify_on3(d, low, high)
-        failed = failed or not report.holds
-        rows.append(
-            {
-                "ell": 3,
-                "D": d,
-                "N3_Dstar": report.lhs_terms[0],
-                "N3_27D": report.lhs_terms[1],
-                "rhs": report.rhs,
-                "verdict": "pass" if report.holds else "fail",
-            }
-        )
-    columns = ["ell", "D", "N3_Dstar", "N3_27D", "rhs", "verdict"]
-    return rows, columns, 2 if failed else 0
+        yield {
+            "ell": 3,
+            "D": d,
+            "N3_Dstar": report.lhs_terms[0],
+            "N3_27D": report.lhs_terms[1],
+            "rhs": report.rhs,
+            "verdict": "pass" if report.holds else "fail",
+        }
 
 
 def _predictions(config: RunConfig):
@@ -271,84 +258,88 @@ def _predictions(config: RunConfig):
             yield predict(config.ell, d)
 
 
-def _prediction_row(pred, format: str) -> dict:
-    targets = [{"r2": fd.r2, "disc": fd.signed_value()} for fd in pred.targets]
-    if isinstance(pred, Corollary5Report):
-        row = {"ell": 5, "D": pred.d, "lhs": pred.lhs_value, "targets": targets}
-    else:
-        row = {
-            "ell": pred.ell,
-            "D": pred.D,
-            "g": pred.g,
-            "dl_count": pred.dl_count,
-            "lhs": pred.lhs_value,
-            "targets": targets,
-            "star_required": pred.star_required,
-        }
-    if format == "csv":
-        for i, fd in enumerate(pred.targets, start=1):
-            row[f"target{i}"] = fd.signed_value()
-    return row
-
-
 def _run_predict(config: RunConfig):
-    format = config.format or _DEFAULT_FORMAT[config.command]
-    rows = [_prediction_row(p, format) for p in _predictions(config)]
-    if config.corollary5:
-        columns = ["ell", "D", "lhs", "target1", "target2", "target3"]
-    else:
-        columns = ["ell", "D", "g", "dl_count", "lhs", "target1", "target2", "star_required"]
-    return rows, columns, 0
+    for pred in _predictions(config):
+        targets = [{"r2": fd.r2, "disc": fd.signed_value()} for fd in pred.targets]
+        if isinstance(pred, Corollary5Report):
+            row = {"ell": 5, "D": pred.d, "lhs": pred.lhs_value, "targets": targets}
+        else:
+            row = {
+                "ell": pred.ell,
+                "D": pred.D,
+                "g": pred.g,
+                "dl_count": pred.dl_count,
+                "lhs": pred.lhs_value,
+                "targets": targets,
+                "star_required": pred.star_required,
+            }
+        if config.format == "csv":
+            for i, fd in enumerate(pred.targets, start=1):
+                row[f"target{i}"] = fd.signed_value()
+        yield row
 
 
 def _run_check_table(config: RunConfig):
     with open(config.table, newline="") as handle:
         entries = parse_field_table(handle)
-    rows = []
-    failed = False
     for pred in _predictions(config):
         result = compare_with_table(
             pred, entries, assume_complete_below=config.assume_complete_below
         )
-        failed = failed or result.verdict == "fail"
-        rows.append(
-            {
-                "mode": result.mode,
-                "ell": result.ell,
-                "D": result.D,
-                "expected": result.expected,
-                "observed": result.observed,
-                "missing": list(result.missing),
-                "surplus": list(result.surplus),
-                "verdict": result.verdict,
-                "note": result.note,
-            }
-        )
-    columns = ["mode", "ell", "D", "expected", "observed", "verdict"]
-    return rows, columns, 2 if failed else 0
+        yield {
+            "mode": result.mode,
+            "ell": result.ell,
+            "D": result.D,
+            "expected": result.expected,
+            "observed": result.observed,
+            "missing": list(result.missing),
+            "surplus": list(result.surplus),
+            "verdict": result.verdict,
+            "note": result.note,
+        }
 
 
+# each report's runner and its CSV columns; `predict --corollary5` takes
+# the corollary5 entry
 _RUNNERS = {
-    "classgroup": _run_classgroup,
-    "cubic-tab": _run_cubic_tab,
-    "verify-on": _run_verify_on,
-    "predict": _run_predict,
-    "corollary5": _run_predict,
-    "check-table": _run_check_table,
+    "classgroup": (_run_classgroup, ["D", "h", "divisors", "narrow"]),
+    "cubic-tab": (_run_cubic_tab, ["disc", "count"]),
+    "verify-on": (_run_verify_on, ["ell", "D", "N3_Dstar", "N3_27D", "rhs", "verdict"]),
+    "predict": (
+        _run_predict,
+        ["ell", "D", "g", "dl_count", "lhs", "target1", "target2", "star_required"],
+    ),
+    "corollary5": (_run_predict, ["ell", "D", "lhs", "target1", "target2", "target3"]),
+    "check-table": (
+        _run_check_table,
+        ["mode", "ell", "D", "expected", "observed", "verdict"],
+    ),
 }
 
 
+def _noting_verdicts(rows, verdicts: set):
+    for row in rows:
+        verdicts.add(row.get("verdict"))
+        yield row
+
+
 def run(config: RunConfig) -> int:
-    """Execute one command and write its report; returns the exit code."""
-    rows, columns, code = _RUNNERS[config.command](config)
-    format = config.format or _DEFAULT_FORMAT[config.command]
-    text = emit_report(rows, format, columns)
+    """Execute one command and write its report; returns the exit code,
+    2 when some row's verdict is "fail".
+
+    The rows stream into the report text, which is written only once it
+    is built in full, so a run that raises part-way writes nothing."""
+    config = replace(config, format=config.format or _DEFAULT_FORMAT[config.command])
+    corollary5 = config.command == "predict" and config.corollary5
+    runner, columns = _RUNNERS["corollary5" if corollary5 else config.command]
+    verdicts: set = set()
+    text = emit_report(_noting_verdicts(runner(config), verdicts), config.format, columns)
     if config.out:
         with open(config.out, "w") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
-    return code
+    return 2 if "fail" in verdicts else 0
 
 
 def main(argv: list[str] | None = None) -> int:

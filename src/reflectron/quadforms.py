@@ -318,42 +318,47 @@ def _log_int(n: int, q: int) -> int:
     return out
 
 
+def _q_parts(grp: _Group, q: int) -> list[int]:
+    """The partition of the q-part of the class group, ascending:
+    [] when q does not divide h, [1] when q || h (a group of prime order
+    is cyclic), and otherwise read off q^k-torsion counts from one table
+    x -> x^q (see _Group.power_table), applied k times."""
+    rest, e = len(grp.reps), 0
+    while rest % q == 0:
+        rest //= q
+        e += 1
+    if e < 2:
+        return [1] * e
+    # counting q^k-torsion pins down the partition of the q-part:
+    # m_k = log_q #{x : x^(q^k) = id} and m_k - m_(k-1) counts parts >= k
+    table = grp.power_table(q)
+    # after k steps: x^(q^k) for every x whose power is not yet the identity
+    live = grp.reps
+    ms = [0]
+    for _ in range(e):
+        live = [y for y in map(table.__getitem__, live) if y != grp.identity]
+        cnt = len(grp.reps) - len(live)
+        m = _log_int(cnt, q)
+        if q**m != cnt:
+            raise ArithmeticError(f"{q}-torsion count {cnt} is not a power of {q}")
+        ms.append(m)
+        if m == e:
+            break
+    ranks = [ms[k] - ms[k - 1] for k in range(1, len(ms))]
+    return sorted(sum(1 for r in ranks if r >= i) for i in range(1, ranks[0] + 1))
+
+
 def class_group(d: int) -> ClassGroupStructure:
     """Group structure for fundamental discriminant d, as a chain of
     elementary divisors d1 | d2 | ... (narrow class group when d > 0).
 
-    A prime q with q || h gives the part Z/q with no composition.  For
-    each prime q with q^2 | h one table x -> x^q over the
-    representatives is built (see _Group.power_table); x^(q^k) is then
-    that table applied k times, so no power is computed twice."""
+    Each prime q | h contributes the partition of its q-part (see
+    _q_parts): no composition when q || h, and one power table when
+    q^2 | h, so no power is computed twice."""
     grp = _group_for(d)
     h = len(grp.reps)
-    parts_per_prime: dict[int, list[int]] = {}
-    for q, e in factorize(h).factors if h > 1 else ():
-        if e == 1:
-            # a group of prime order q is cyclic
-            parts_per_prime[q] = [1]
-            continue
-        # counting q^k-torsion pins down the partition of the q-part:
-        # m_k = log_q #{x : x^(q^k) = id} and m_k - m_(k-1) counts parts >= k
-        table = grp.power_table(q)
-        # after k steps: x^(q^k) for every x whose power is not yet the identity
-        live = grp.reps
-        ms = [0]
-        for _ in range(e):
-            live = [y for y in map(table.__getitem__, live) if y != grp.identity]
-            cnt = h - len(live)
-            m = _log_int(cnt, q)
-            if q**m != cnt:
-                raise ArithmeticError(f"{q}-torsion count {cnt} is not a power of {q}")
-            ms.append(m)
-            if m == e:
-                break
-        ranks = [ms[k] - ms[k - 1] for k in range(1, len(ms))]
-        parts = []
-        for i in range(1, ranks[0] + 1):
-            parts.append(sum(1 for r in ranks if r >= i))
-        parts_per_prime[q] = sorted(parts)
+    primes = [q for q, _ in factorize(h).factors] if h > 1 else []
+    parts_per_prime = {q: _q_parts(grp, q) for q in primes}
     width = max((len(p) for p in parts_per_prime.values()), default=0)
     divisors = []
     for i in range(width):
@@ -369,18 +374,10 @@ def ell_rank(d: int, ell: int) -> int:
     """ell-rank of the class group of fundamental discriminant d (narrow
     for d > 0, which has the same odd part as the ordinary group).
 
-    The class number h decides it unless ell^2 | h: the rank is 0 when
-    ell does not divide h and 1 when ell || h.  Otherwise it counts the
-    identities in the power table x -> x^ell, which powers only one
-    member of every inverse pair {x, x^-1}."""
+    It is the number of parts of the ell-part: 0 when ell does not
+    divide h, 1 when ell || h, and otherwise counted from the power
+    table x -> x^ell, which powers only one member of every inverse
+    pair {x, x^-1}."""
     if ell < 3 or ell % 2 == 0 or not is_prime(ell):
         raise ValueError("ell must be an odd prime")
-    grp = _group_for(d)
-    h = len(grp.reps)
-    if h % (ell * ell):
-        return 1 if h % ell == 0 else 0
-    cnt = sum(1 for y in grp.power_table(ell).values() if y == grp.identity)
-    r = _log_int(cnt, ell)
-    if ell**r != cnt:
-        raise ArithmeticError(f"{ell}-torsion count {cnt} is not a power of {ell}")
-    return r
+    return len(_q_parts(_group_for(d), ell))

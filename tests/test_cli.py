@@ -9,13 +9,14 @@ import time
 import tracemalloc
 from array import array
 from collections.abc import Mapping
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from reflectron import arith, cli
 from reflectron.arith import fundamental_discriminants_in
-from reflectron.cli import RunConfig, emit_report, main
+from reflectron.cli import RunConfig, emit_report, main, run
 from reflectron.cubicforms import enumerate_cubic_fields
 from reflectron.reflection import verify_on3
 
@@ -96,23 +97,51 @@ def test_cubic_tab_json_matches_the_tabulation_and_the_csv(capsys):
     assert csv_rows == json.loads(out)
 
 
-def test_cubic_tab_report_memory_is_bounded_by_its_bytes(monkeypatch):
+def _traced_peak_of_run(config):
+    tracemalloc.start()
+    try:
+        code = run(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return code, peak
+
+
+def test_cubic_tab_report_memory_is_bounded_by_its_bytes(monkeypatch, tmp_path):
     # the tabulation is built before tracing, so the traced peak is what
     # ordering it and writing its report cost: a few bytes per report
     # byte, not one dict and one line string per row
     tab = enumerate_cubic_fields(30_000)
     monkeypatch.setattr(cli, "enumerate_cubic_fields", lambda xmax, workers: tab)
-    config = RunConfig(command="cubic-tab", xmax=30_000)
-    tracemalloc.start()
-    try:
-        rows, columns, _ = cli._run_cubic_tab(config)
-        text = emit_report(rows, "csv", columns)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    path = tmp_path / "report.csv"
+    config = RunConfig(command="cubic-tab", xmax=30_000, out=str(path))
+    code, peak = _traced_peak_of_run(config)
+    text = path.read_text()
+    assert code == 0
     assert text.count("\n") == 5_768 + 1
     assert len(text) == 48_652
     assert peak < 15 * len(text)
+
+
+def test_verify_on_report_memory_is_bounded_by_its_bytes(monkeypatch, tmp_path):
+    # both tabulations are built before tracing, so the traced peak is
+    # the scope, the verdicts and the report: rows stream into the text
+    # rather than being held as one dict per discriminant
+    low = enumerate_cubic_fields(3 * 30_000)
+    high = enumerate_cubic_fields(27 * 30_000, modulus=27)
+    monkeypatch.setattr(
+        cli,
+        "enumerate_cubic_fields",
+        lambda xmax, workers, modulus=1: low if modulus == 1 else high,
+    )
+    path = tmp_path / "report.csv"
+    config = RunConfig(command="verify-on", dmax=30_000, out=str(path))
+    code, peak = _traced_peak_of_run(config)
+    text = path.read_text()
+    assert code == 0
+    assert text.count("\n") == 18_243
+    assert len(text) == 349_000
+    assert peak < 10 * len(text)
 
 
 def test_cubic_tab_past_the_sieve_ceiling_exits_1(capsys):
@@ -213,6 +242,17 @@ def test_scoped_commands_test_discriminants_off_the_sieve(capsys, monkeypatch, a
     assert calls == []
 
 
+def test_predict_factors_ell_minus_1_once(capsys, monkeypatch):
+    # g is the same for every D of a run, so ell - 1 = 12 is factored at
+    # most once (not at all if an earlier call found g), not once per D
+    calls = []
+    real = arith.factorize
+    monkeypatch.setattr(arith, "factorize", lambda n: calls.append(n) or real(n))
+    code, out = run_main(capsys, ["predict", "--ell", "13", "--dmax", "2000"])
+    assert code == 0 and len(json.loads(out)) == 1_217
+    assert calls in ([], [12])
+
+
 def test_verify_on_rows(capsys):
     code, out = run_main(capsys, ["verify-on", "--dmax", "24"])
     assert code == 0
@@ -222,6 +262,51 @@ def test_verify_on_rows(capsys):
     assert "3,5,0,1,1,pass" in lines
     assert all(line.endswith("pass") for line in lines[1:])
     assert not any(",-3," in line for line in lines)
+
+
+def _verify_on3_failing_at(monkeypatch, position, outcome):
+    # verify_on3 as the command calls it, except at the given position of
+    # the scope, where `outcome(report)` takes its place
+    scope = cli._scope(RunConfig(command="verify-on", dmax=200), -3)
+    calls = []
+
+    def fake(d, low, high):
+        report = verify_on3(d, low, high)
+        calls.append(d)
+        return outcome(report) if d == scope[position] else report
+
+    monkeypatch.setattr(cli, "verify_on3", fake)
+    return scope, calls
+
+
+def test_verify_on_exits_2_on_a_failing_verdict(capsys, monkeypatch):
+    # the last row fails: the exit code is read only after the report
+    # has consumed every row
+    scope, _ = _verify_on3_failing_at(
+        monkeypatch, -1, lambda report: replace(report, holds=False)
+    )
+    code, out = run_main(capsys, ["verify-on", "--dmax", "200", "--workers", "1"])
+    assert code == 2
+    rows = out.splitlines()[1:]
+    assert [int(row.split(",")[1]) for row in rows] == scope
+    assert rows[-1].endswith(",fail")
+    assert all(row.endswith(",pass") for row in rows[:-1])
+
+
+def test_a_run_that_raises_part_way_writes_nothing(capsys, monkeypatch, tmp_path):
+    def refuse(report):
+        raise ValueError("refused")
+
+    scope, calls = _verify_on3_failing_at(monkeypatch, 9, refuse)
+    path = tmp_path / "report.csv"
+    path.write_bytes(b"earlier report\n")
+    argv = ["verify-on", "--dmax", "200", "--workers", "1"]
+    code, out = run_main(capsys, [*argv, "--out", str(path)])
+    assert (code, out) == (1, "")
+    assert path.read_bytes() == b"earlier report\n"
+    assert calls == scope[:10]
+    code, out = run_main(capsys, argv)
+    assert (code, out) == (1, "")
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -410,7 +495,7 @@ def test_csv_cells_keep_their_bytes():
         "cr": "x\ry",
         "plain": "pass",
     }
-    assert emit_report([row], "csv") == (
+    assert emit_report([row], "csv", list(row)) == (
         "n,big,zero,t,f,comma,quote,lf,cr,plain\n"
         '-27,100000000000000000000,0,true,false,"a,b","say ""hi""","x\ny","x\ry",pass\n'
     )
@@ -419,25 +504,31 @@ def test_csv_cells_keep_their_bytes():
 def test_emit_report():
     assert emit_report([], "json") == "[]\n"
     assert emit_report([{"a": 1}], "json") == '[\n  {\n    "a": 1\n  }\n]\n'
-    assert emit_report([{"a": True, "b": 0}], "csv") == "a,b\ntrue,0\n"
-    assert emit_report([{"a": 'x,"y"'}], "csv") == 'a\n"x,""y"""\n'
+    assert emit_report([{"a": True, "b": 0}], "csv", ["a", "b"]) == "a,b\ntrue,0\n"
+    assert emit_report([{"a": 'x,"y"'}], "csv", ["a"]) == 'a\n"x,""y"""\n'
     assert emit_report([{"a": 1, "b": 2}], "csv", columns=["b", "a"]) == "b,a\n2,1\n"
     # a line break inside a cell is quoted, so the row stays one record
-    assert emit_report([{"a": "x\ny", "b": 1}], "csv") == 'a,b\n"x\ny",1\n'
+    assert emit_report([{"a": "x\ny", "b": 1}], "csv", ["a", "b"]) == 'a,b\n"x\ny",1\n'
     with pytest.raises(ValueError):
         emit_report([], "yaml")
+    # CSV never guesses its columns from the rows
+    with pytest.raises(ValueError):
+        emit_report([{"a": 1}], "csv")
 
 
 @pytest.mark.parametrize(
     "rows, format, columns",
     [
-        pytest.param([{"a": 1, "b": -2}, {"a": 3, "b": 4}], "csv", None, id="csv"),
+        pytest.param([{"a": 1, "b": -2}, {"a": 3, "b": 4}], "csv", ["a", "b"], id="csv"),
         pytest.param([{"a": 1, "b": -2}, {"a": 3, "b": 4}], "csv", ["b", "a"], id="columns"),
         pytest.param(
-            [{"a": True, "b": 'x,"y"'}, {"a": False, "b": "p\nq"}], "csv", None, id="quoted"
+            [{"a": True, "b": 'x,"y"'}, {"a": False, "b": "p\nq"}],
+            "csv",
+            ["a", "b"],
+            id="quoted",
         ),
         pytest.param([{"a": 1, "t": [{"r2": 0}]}, {"a": 2, "t": []}], "json", None, id="json"),
-        pytest.param([], "csv", None, id="csv-empty"),
+        pytest.param([], "csv", ["a"], id="csv-empty"),
         pytest.param([], "csv", ["disc", "count"], id="columns-empty"),
         pytest.param([], "json", None, id="json-empty"),
     ],
@@ -451,7 +542,7 @@ def test_emit_report_joins_chunks_without_a_seam():
     # one line per row across every chunk boundary, none lost or doubled
     n = 2 * cli._CSV_CHUNK + 1
     expected = "n\n" + "".join(f"{i}\n" for i in range(n))
-    assert emit_report(({"n": i} for i in range(n)), "csv") == expected
+    assert emit_report(({"n": i} for i in range(n)), "csv", ["n"]) == expected
 
 
 class _CountedRow(Mapping):
@@ -482,7 +573,7 @@ class _CountedRow(Mapping):
 
 def test_emit_report_holds_at_most_one_chunk_of_rows(monkeypatch):
     monkeypatch.setattr(_CountedRow, "peak", 0)
-    text = emit_report((_CountedRow(i) for i in range(20_000)), "csv")
+    text = emit_report((_CountedRow(i) for i in range(20_000)), "csv", ["n"])
     assert text.count("\n") == 20_001
     assert 0 < _CountedRow.peak <= cli._CSV_CHUNK
     assert _CountedRow.live == 0
