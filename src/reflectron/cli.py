@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass, replace
 from itertools import chain, islice
 
-from .arith import fundamental_discriminants_in, smallest_prime_factors
+from .arith import is_fundamental_discriminant, smallest_prime_factors
 from .cubicforms import enumerate_cubic_fields
 from .fieldtables import compare_with_table, parse_field_table
 from .quadforms import class_group
@@ -196,17 +196,17 @@ def _csv_cell(value) -> str:
 
 
 def _scope(config: RunConfig, *exclude: int):
+    # yielded in (|d|, d) order, with no list of the range held
     if config.d is not None:
-        return [config.d]
-    out = [
-        d
-        for d in fundamental_discriminants_in(-config.dmax, config.dmax)
-        if abs(d) > 1 and d not in exclude
-    ]
-    # (|d|, d) order: the list is ascending and the sort by abs is
-    # stable, so it keeps -m before m
-    out.sort(key=abs)
-    return out
+        yield config.d
+        return
+    # sized first, so every test walks the table, and a dmax past its
+    # ceiling raises before anything is tested or allocated
+    smallest_prime_factors(config.dmax)
+    for m in range(2, config.dmax + 1):
+        for d in (-m, m):
+            if d not in exclude and is_fundamental_discriminant(d):
+                yield d
 
 
 def _run_classgroup(config: RunConfig):
@@ -217,13 +217,9 @@ def _run_classgroup(config: RunConfig):
 
 
 def _run_cubic_tab(config: RunConfig):
-    counts = enumerate_cubic_fields(config.xmax, workers=config.workers).counts
-    # (|disc|, disc) order with no key tuple per discriminant: the sort
-    # by abs is stable, so it keeps -m before m
-    order = sorted(counts)
-    order.sort(key=abs)
-    for disc in order:
-        yield {"disc": disc, "count": counts[disc]}
+    tab = enumerate_cubic_fields(config.xmax, workers=config.workers)
+    for disc, count in tab.items():
+        yield {"disc": disc, "count": count}
 
 
 def _run_verify_on(config: RunConfig):

@@ -27,14 +27,24 @@ b = c = 0 (mod 3); conversely every form with b = c = 0 (mod 3) has
 3Z, about one ninth of the box, and finds exactly the fields with
 27 | disc.  Since every discriminant it meets is 27 m, its sieve table
 reaches only xmax // 27; every other test is unchanged.
+
+Each job returns the discriminant of every field it finds as an
+array('q'), and the tabulation counts them into one byte per
+|disc| // modulus and sign, so its size is set by xmax and the modulus
+alone, not by the number of fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from array import array
+from collections.abc import Iterator, Mapping
+from dataclasses import dataclass, field
+from itertools import compress
 from math import gcd, isqrt
+from operator import or_
+from types import MappingProxyType
 
-from .arith import factorize, smallest_prime_factors
+from .arith import _SIEVE_CEILING, factorize, smallest_prime_factors
 
 _SIGNS = (-1, 0, 1)
 # modulus -> step of the b and c walks
@@ -70,10 +80,17 @@ class CubicForm:
 class CubicTabulation:
     """Counts of cubic fields by discriminant over 0 < |disc| <= xmax,
     both signs, restricted to discriminants divisible by modulus (1 or
-    27)."""
+    27).
+
+    The counts are two byte strings indexed by |disc| // modulus, one
+    per sign: neg[i] fields have discriminant -modulus * i and pos[i]
+    have modulus * i, for 0 <= i <= xmax // modulus, and entry 0 of
+    each is 0.  That is 2 bytes per unit of xmax / modulus however many
+    fields there are, and no count exceeds 255."""
 
     xmax: int
-    counts: dict[int, int]
+    neg: bytes = field(repr=False)
+    pos: bytes = field(repr=False)
     modulus: int = 1
 
     def __post_init__(self) -> None:
@@ -81,11 +98,30 @@ class CubicTabulation:
             raise ValueError("xmax must be non-negative")
         if self.modulus not in _MODULI:
             raise ValueError("modulus must be 1 or 27")
-        for disc in self.counts:
-            if not 0 < abs(disc) <= self.xmax:
-                raise ValueError(f"discriminant {disc} outside 0 < |disc| <= xmax")
-            if disc % self.modulus:
-                raise ValueError(f"discriminant {disc} is not a multiple of the modulus")
+        size = self.xmax // self.modulus + 1
+        for counts in (self.neg, self.pos):
+            if not isinstance(counts, bytes):
+                raise TypeError("the counts must be bytes")
+            if len(counts) != size:
+                raise ValueError(f"the counts need xmax // modulus + 1 = {size} entries")
+            if counts[0]:
+                raise ValueError("0 is not a field discriminant")
+
+    def items(self) -> Iterator[tuple[int, int]]:
+        """(disc, count) for every discriminant with a field, in
+        (|disc|, disc) order, read off both byte strings in one pass."""
+        neg, pos, m = self.neg, self.pos, self.modulus
+        for i in compress(range(len(neg)), map(or_, neg, pos)):
+            if neg[i]:
+                yield -m * i, neg[i]
+            if pos[i]:
+                yield m * i, pos[i]
+
+    @property
+    def counts(self) -> Mapping[int, int]:
+        """The nonzero counts as a read-only mapping from disc, built
+        afresh from the byte strings on each access; no dict is kept."""
+        return MappingProxyType(dict(self.items()))
 
 
 def cubic_disc(f: CubicForm) -> int:
@@ -138,9 +174,10 @@ def _has_rational_root(a: int, b: int, c: int, d: int) -> bool:
         if not table[((a % p * p + b % p) * p + c % p) * p + d % p]:
             return False
     # roots of a x^3 + b x^2 + c x + d are p/q with p | d, q | a
+    dd = _divisors(abs(d))
     for q in _divisors(abs(a)):
         qq = q * q
-        for p in _divisors(abs(d)):
+        for p in dd:
             if gcd(p, q) != 1:
                 continue
             if ((a * p + b * q) * p + c * qq) * p + d * qq * q == 0:
@@ -256,9 +293,10 @@ def _real_amax(xmax: int) -> int:
     return isqrt(4 * isqrt(xmax) // 27) + 2
 
 
-def _real_walk(xmax: int, a: int, modulus: int) -> dict[int, int]:
-    # the canonical forms with leading coefficient a and 0 < disc <= xmax
-    counts: dict[int, int] = {}
+def _real_walk(xmax: int, a: int, modulus: int) -> array:
+    # the discriminant of each canonical form with leading coefficient a
+    # and 0 < disc <= xmax
+    found = array("q")
     step = _MODULI[modulus]
     rx = isqrt(xmax)
     spf = smallest_prime_factors(xmax // modulus)
@@ -298,8 +336,8 @@ def _real_walk(xmax: int, a: int, modulus: int) -> dict[int, int]:
                 # only other orbit member with a > 0 and a reduced Hessian
                 if (P == R or Q == P or Q == -P) and not _canonical_real(a, b, c, d):
                     continue
-                counts[disc] = counts.get(disc, 0) + 1
-    return counts
+                found.append(disc)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +399,10 @@ def _complex_amax(xmax: int) -> int:
     return isqrt(isqrt(16 * xmax // 27)) + 2
 
 
-def _complex_walk(xmax: int, a: int, modulus: int) -> dict[int, int]:
-    # the forms with leading coefficient a and -xmax <= disc < 0 that are
-    # reduced against the real root t, b < 0 or b = 0 and d < 0.  With
+def _complex_walk(xmax: int, a: int, modulus: int) -> array:
+    # the discriminant of each form with leading coefficient a and
+    # -xmax <= disc < 0 that is reduced against the real root t, has
+    # b < 0 or b = 0 and d < 0, and is irreducible and maximal.  With
     # u = a t the root satisfies |u + b| < a, |u| <= (4 xmax / 3)^(1/4)
     # < umax, and a < q(t) = c + u (u + b) / a, so |b| < a + umax, and c
     # starts at the least value with a c > a^2 - u (u + b) for some u in
@@ -371,7 +410,7 @@ def _complex_walk(xmax: int, a: int, modulus: int) -> dict[int, int]:
     # greatest at an end.  Also 4 a q(t) <= (16 a^2 xmax)^(1/3) + a^2,
     # and the least value of u (u + b) on |u + b| < a is m / 4, so c
     # stops at the first value with (4 a c + m - a^2)^3 > 16 a^2 xmax
-    counts: dict[int, int] = {}
+    found = array("q")
     step = _MODULI[modulus]
     spf = smallest_prime_factors(xmax // modulus)
     umax = isqrt(isqrt(4 * xmax // 3)) + 1
@@ -396,9 +435,9 @@ def _complex_walk(xmax: int, a: int, modulus: int) -> dict[int, int]:
                     )
                     if not _maximal(a, b, c, d, _square_primes(-disc, spf, modulus)):
                         continue
-                    counts[disc] = counts.get(disc, 0) + 1
+                    found.append(disc)
             c += step
-    return counts
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -412,25 +451,34 @@ def _process_pool(workers: int):
     return ProcessPoolExecutor(max_workers=workers)
 
 
-def _run_job(job) -> dict[int, int]:
+def _run_job(job) -> array:
     walk, *args = job
     return walk(*args)
 
 
-def _merged(parts) -> dict[int, int]:
-    # parts are added as the iterator yields them, not collected first
-    counts: dict[int, int] = {}
+def _tabulated(xmax: int, modulus: int, parts) -> CubicTabulation:
+    # parts are sequences of discriminants, one entry per field, counted
+    # as the iterator yields them, not collected first; a count past 255
+    # raises, as bytearray item arithmetic does, and never wraps
+    neg = bytearray(xmax // modulus + 1)
+    pos = bytearray(len(neg))
     for part in parts:
-        for disc, n in part.items():
-            counts[disc] = counts.get(disc, 0) + n
-    return counts
+        for disc in part:
+            try:
+                if disc > 0:
+                    pos[disc // modulus] += 1
+                else:
+                    neg[-disc // modulus] += 1
+            except ValueError:
+                raise ValueError(f"more than 255 fields of discriminant {disc}") from None
+    return CubicTabulation(xmax, bytes(neg), bytes(pos), modulus)
 
 
 def enumerate_cubic_fields(
     xmax: int, *, workers: int = 1, modulus: int = 1
 ) -> CubicTabulation:
     """Tabulate cubic field counts by discriminant over 0 < |disc| <= xmax,
-    both signs.
+    both signs, as one byte per |disc| // modulus and sign.
 
     With modulus 27 only the fields with 27 | disc are tabulated, by
     walking the forms with b = c = 0 (mod 3); the result covers, and
@@ -438,12 +486,18 @@ def enumerate_cubic_fields(
     default modulus 1 it covers every discriminant up to xmax.
 
     The work is one job per sign and leading coefficient a, in
-    ascending a, so the largest jobs come first.  A pool hands the jobs
-    out one at a time and the counts of each are merged as the pool
-    yields them; a single worker runs the same jobs in this process.
-    The result is independent of the worker count and of the order the
-    jobs finish in, since canonicity is decided per form.  The workers
-    are capped at the number of leading coefficients walked.
+    ascending a, so the largest jobs come first.  Each job returns the
+    discriminant of every field it finds as an array of 8-byte ints.  A
+    pool hands the jobs out one at a time and the fields of each are
+    counted as the pool yields them; a single worker runs the same jobs
+    in this process.  The result is independent of the worker count and
+    of the order the jobs finish in, since canonicity is decided per
+    form.  The workers are capped at the number of leading coefficients
+    walked.
+
+    The two count arrays take xmax // modulus + 1 bytes each, and the
+    walks sieve to xmax // modulus.  Past the sieve's 2^32 - 1 ceiling
+    it raises ValueError before allocating either.
     """
     if xmax < 0:
         raise ValueError("xmax must be non-negative")
@@ -451,6 +505,8 @@ def enumerate_cubic_fields(
         raise ValueError("workers must be at least 1")
     if modulus not in _MODULI:
         raise ValueError("modulus must be 1 or 27")
+    if xmax // modulus > _SIEVE_CEILING:
+        raise ValueError(f"sieve limit {xmax // modulus} exceeds {_SIEVE_CEILING}")
     ramax = _real_amax(xmax)
     # the negative side always walks at least as many a as the positive
     camax = _complex_amax(xmax)
@@ -461,11 +517,9 @@ def enumerate_cubic_fields(
     ]
     nworkers = min(workers, camax)
     if nworkers == 1:
-        counts = _merged(map(_run_job, jobs))
-    else:
-        with _process_pool(nworkers) as pool:
-            counts = _merged(pool.map(_run_job, jobs))
-    return CubicTabulation(xmax, counts, modulus)
+        return _tabulated(xmax, modulus, map(_run_job, jobs))
+    with _process_pool(nworkers) as pool:
+        return _tabulated(xmax, modulus, pool.map(_run_job, jobs))
 
 
 def count_N3(tab: CubicTabulation, disc: int) -> int:
@@ -478,4 +532,4 @@ def count_N3(tab: CubicTabulation, disc: int) -> int:
         raise ValueError(f"{disc} is beyond the tabulated |disc| <= {tab.xmax}")
     if disc % tab.modulus:
         raise ValueError(f"{disc} is not a multiple of the tabulation's modulus")
-    return tab.counts.get(disc, 0)
+    return (tab.pos if disc > 0 else tab.neg)[abs(disc) // tab.modulus]

@@ -67,10 +67,8 @@ def test_criterion_2_counts_match_class_groups(capsys, tab54):
 
 def test_criterion_3_golden_values(capsys, tab54):
     tab, _ = tab54
-    complex_cubics = sum(
-        n for disc, n in tab.counts.items() if -100 <= disc < 0
-    )
-    real_cubics = sum(n for disc, n in tab.counts.items() if 0 < disc <= 100)
+    complex_cubics = sum(tab.neg[1:101])
+    real_cubics = sum(tab.pos[1:101])
     checks = [
         class_group(-23).order == 3,
         class_group(-47).order == 5,

@@ -17,7 +17,7 @@ import pytest
 from reflectron import arith, cli
 from reflectron.arith import fundamental_discriminants_in
 from reflectron.cli import RunConfig, emit_report, main, run
-from reflectron.cubicforms import enumerate_cubic_fields
+from reflectron.cubicforms import count_N3, enumerate_cubic_fields
 from reflectron.reflection import verify_on3
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -81,10 +81,13 @@ def test_cubic_tab_output(capsys):
 
 
 def test_cubic_tab_json_matches_the_tabulation_and_the_csv(capsys):
-    counts = enumerate_cubic_fields(2000).counts
+    # every discriminant read by index, in (|disc|, disc) order
+    tab = enumerate_cubic_fields(2000)
     expected = [
-        {"disc": disc, "count": counts[disc]}
-        for disc in sorted(counts, key=lambda t: (abs(t), t))
+        {"disc": disc, "count": count_N3(tab, disc)}
+        for m in range(1, 2001)
+        for disc in (-m, m)
+        if count_N3(tab, disc)
     ]
     code, out = run_main(capsys, ["cubic-tab", "--xmax", "2000", "--format", "json"])
     assert code == 0
@@ -267,7 +270,7 @@ def test_verify_on_rows(capsys):
 def _verify_on3_failing_at(monkeypatch, position, outcome):
     # verify_on3 as the command calls it, except at the given position of
     # the scope, where `outcome(report)` takes its place
-    scope = cli._scope(RunConfig(command="verify-on", dmax=200), -3)
+    scope = list(cli._scope(RunConfig(command="verify-on", dmax=200), -3))
     calls = []
 
     def fake(d, low, high):

@@ -3,6 +3,7 @@ import itertools
 import random
 import subprocess
 import sys
+import tracemalloc
 from array import array
 from collections import Counter
 
@@ -189,10 +190,14 @@ def test_is_maximal_golden():
 
 def test_enumeration_small_window():
     tab = enumerate_cubic_fields(100)
-    complexes = {d: n for d, n in tab.counts.items() if d < 0}
-    reals = {d: n for d, n in tab.counts.items() if d > 0}
-    assert complexes == {-23: 1, -31: 1, -44: 1, -59: 1, -76: 1, -83: 1, -87: 1}
-    assert reals == {49: 1, 81: 1}
+    complexes = [(d, n) for d, n in tab.items() if d < 0]
+    reals = [(d, n) for d, n in tab.items() if d > 0]
+    assert complexes == [(-23, 1), (-31, 1), (-44, 1), (-59, 1), (-76, 1), (-83, 1), (-87, 1)]
+    assert reals == [(49, 1), (81, 1)]
+    # one byte per |disc| and sign
+    assert len(tab.neg) == len(tab.pos) == 101
+    assert [i for i, n in enumerate(tab.neg) if n] == [23, 31, 44, 59, 76, 83, 87]
+    assert [i for i, n in enumerate(tab.pos) if n] == [49, 81]
 
 
 def test_enumeration_golden_counts():
@@ -208,17 +213,19 @@ def test_enumeration_golden_counts():
 def test_enumeration_sign_and_window():
     # each side's walk finds exactly the fields of its sign, one leading
     # coefficient at a time
-    full = enumerate_cubic_fields(2000).counts
-    pos: dict[int, int] = {}
-    neg: dict[int, int] = {}
+    full = enumerate_cubic_fields(2000)
+    pos: Counter = Counter()
+    neg: Counter = Counter()
     for a in range(1, cubicforms._real_amax(2000) + 1):
-        for disc, n in cubicforms._real_walk(2000, a, 1).items():
-            pos[disc] = pos.get(disc, 0) + n
+        found = cubicforms._real_walk(2000, a, 1)
+        assert found.typecode == "q"
+        pos.update(found)
     for a in range(1, cubicforms._complex_amax(2000) + 1):
-        for disc, n in cubicforms._complex_walk(2000, a, 1).items():
-            neg[disc] = neg.get(disc, 0) + n
-    assert pos == {d: n for d, n in full.items() if d > 0}
-    assert neg == {d: n for d, n in full.items() if d < 0}
+        found = cubicforms._complex_walk(2000, a, 1)
+        assert found.typecode == "q"
+        neg.update(found)
+    assert pos == Counter({d: n for d, n in full.items() if d > 0})
+    assert neg == Counter({d: n for d, n in full.items() if d < 0})
 
 
 def test_canonicity_premises_of_the_real_walk():
@@ -246,9 +253,7 @@ def test_canonicity_premises_of_the_real_walk():
 
 
 def test_enumeration_worker_independence():
-    assert enumerate_cubic_fields(2500, workers=3).counts == (
-        enumerate_cubic_fields(2500, workers=1).counts
-    )
+    assert enumerate_cubic_fields(2500, workers=3) == enumerate_cubic_fields(2500, workers=1)
 
 
 def _reduced_against_real_root(a, b, c, d):
@@ -321,13 +326,13 @@ def test_complex_walk_matches_a_window_free_reference(modulus):
 def test_enumeration_regression_at_30000():
     # recorded before the sieve and the exact d window were added
     tab = enumerate_cubic_fields(30000)
-    counts = tab.counts
-    assert sum(n for d, n in counts.items() if d > 0) == 1299
-    assert sum(n for d, n in counts.items() if d < 0) == 4885
-    assert len(counts) == 5768
-    digest = hashlib.sha256(repr(sorted(counts.items())).encode()).hexdigest()
+    items = list(tab.items())
+    assert sum(n for d, n in items if d > 0) == sum(tab.pos) == 1299
+    assert sum(n for d, n in items if d < 0) == sum(tab.neg) == 4885
+    assert len(items) == 5768
+    digest = hashlib.sha256(repr(sorted(items)).encode()).hexdigest()
     assert digest == "e16489830e31a5ec0eabccb231d5a6704daabb69a0d39835b6beedcd3b7521de"
-    assert enumerate_cubic_fields(30000, workers=2).counts == counts
+    assert enumerate_cubic_fields(30000, workers=2) == tab
 
 
 def test_totally_ramified_forms_have_b_and_c_divisible_by_3():
@@ -355,16 +360,22 @@ def test_totally_ramified_forms_have_b_and_c_divisible_by_3():
 
 @pytest.mark.parametrize("sign", [-1, 1])
 def test_modulus_27_walk_finds_exactly_the_fields_with_27_dividing_disc(sign):
-    def side(counts):
-        return {d: n for d, n in counts.items() if (d > 0) == (sign > 0)}
+    def side(tab):
+        return [(d, n) for d, n in tab.items() if (d > 0) == (sign > 0)]
 
-    full = enumerate_cubic_fields(30000).counts
-    expected = {d: n for d, n in side(full).items() if d % 27 == 0}
+    full = enumerate_cubic_fields(30000)
+    expected = [(d, n) for d, n in side(full) if d % 27 == 0]
     assert expected  # 323 negative and 121 positive discriminants
     tab = enumerate_cubic_fields(30000, modulus=27)
     assert tab.modulus == 27
-    assert side(tab.counts) == expected
-    assert side(enumerate_cubic_fields(30000, modulus=27, workers=2).counts) == expected
+    assert side(tab) == expected
+    assert side(enumerate_cubic_fields(30000, modulus=27, workers=2)) == expected
+    # entry i of a modulus-27 array is entry 27 i of the full one
+    assert len(tab.neg) == 30000 // 27 + 1
+    if sign > 0:
+        assert tab.pos == full.pos[::27]
+    else:
+        assert tab.neg == full.neg[::27]
 
 
 class _InProcessPool:
@@ -389,8 +400,8 @@ class _InProcessPool:
 def test_enumeration_caps_shards_at_leading_coefficients(monkeypatch):
     monkeypatch.setattr(cubicforms, "_process_pool", _InProcessPool)
     monkeypatch.setattr(_InProcessPool, "sizes", [])
-    serial = enumerate_cubic_fields(2000).counts
-    assert enumerate_cubic_fields(2000, workers=64).counts == serial
+    serial = enumerate_cubic_fields(2000)
+    assert enumerate_cubic_fields(2000, workers=64) == serial
     # at X = 2000 the negative side walks a <= 7, the positive side only
     # a <= 4, and one shard walks both sides
     assert _InProcessPool.sizes == [7]
@@ -414,8 +425,8 @@ def test_enumeration_jobs_cover_each_leading_coefficient_once(monkeypatch, modul
     monkeypatch.setattr(cubicforms, "_process_pool", _ReversedPool)
     monkeypatch.setattr(_ReversedPool, "sizes", [])
     monkeypatch.setattr(_ReversedPool, "jobs", [])
-    serial = enumerate_cubic_fields(30000, modulus=modulus).counts
-    assert enumerate_cubic_fields(30000, workers=2, modulus=modulus).counts == serial
+    serial = enumerate_cubic_fields(30000, modulus=modulus)
+    assert enumerate_cubic_fields(30000, workers=2, modulus=modulus) == serial
     assert _ReversedPool.sizes == [2]
     # one job per sign and leading coefficient, in ascending a
     real = [(cubicforms._real_walk, 30000, a, modulus) for a in range(1, 8)]
@@ -428,10 +439,11 @@ def test_enumeration_jobs_cover_each_leading_coefficient_once(monkeypatch, modul
 def test_modulus_27_walk_sieves_to_a_27th_of_xmax(monkeypatch):
     # every discriminant the walk meets is 27 m, so the table reaches m
     monkeypatch.setattr(arith, "_spf", array("I"))
-    counts = enumerate_cubic_fields(81000, modulus=27).counts
+    tab = enumerate_cubic_fields(81000, modulus=27)
     assert len(arith._spf) <= 81000 // 27 + 1
-    full = enumerate_cubic_fields(81000).counts
-    assert counts == {d: n for d, n in full.items() if d % 27 == 0}
+    full = enumerate_cubic_fields(81000)
+    assert list(tab.items()) == [(d, n) for d, n in full.items() if d % 27 == 0]
+    assert (tab.neg, tab.pos) == (full.neg[::27], full.pos[::27])
 
 
 def test_complex_amax_matches_the_float_bound():
@@ -448,7 +460,52 @@ def test_enumeration_validation():
     with pytest.raises(ValueError):
         enumerate_cubic_fields(100, modulus=9)
     # xmax = 0 is legal and empty
-    assert enumerate_cubic_fields(0).counts == {}
+    assert enumerate_cubic_fields(0) == CubicTabulation(0, b"\0", b"\0")
+    assert list(enumerate_cubic_fields(0).items()) == []
+
+
+def test_past_the_sieve_ceiling_nothing_is_allocated(monkeypatch):
+    # |disc| // modulus indexes both the sieve and the count arrays, so a
+    # bound past the sieve's ceiling is refused before either is built
+    def refuse(*args):
+        raise AssertionError("a table was allocated")
+
+    monkeypatch.setattr(cubicforms, "bytearray", refuse, raising=False)
+    monkeypatch.setattr(arith, "array", refuse)
+    with pytest.raises(ValueError, match="sieve limit 4294967296 exceeds 4294967295"):
+        enumerate_cubic_fields(2**32)
+    with pytest.raises(ValueError, match="sieve limit 4294967296 exceeds 4294967295"):
+        enumerate_cubic_fields(27 * 2**32, modulus=27)
+    # one less passes the check and reaches the first allocation
+    with pytest.raises(AssertionError, match="allocated"):
+        enumerate_cubic_fields(27 * 2**32 - 1, modulus=27)
+
+
+def test_a_count_past_255_raises_and_never_wraps():
+    tab = cubicforms._tabulated(100, 1, [array("q", [-23] * 200), array("q", [-23] * 55)])
+    assert count_N3(tab, -23) == 255
+    for disc in (-23, 49):
+        with pytest.raises(ValueError, match=f"discriminant {disc}$"):
+            cubicforms._tabulated(100, 1, [array("q", [disc] * 256)])
+    tab27 = cubicforms._tabulated(200, 27, [array("q", [-108, 81, -108])])
+    assert (count_N3(tab27, -108), count_N3(tab27, 81), count_N3(tab27, 108)) == (2, 1, 0)
+
+
+def test_serial_enumeration_memory_is_two_bytes_per_unit_of_xmax():
+    # the sieve and the root tables are built before tracing; what is left
+    # is the two count arrays, their bytes copies and one job's array of
+    # discriminants, not an object per discriminant: about 0.40 MB, where
+    # a dict of counts peaked at 1.40 MB
+    arith.smallest_prime_factors(100_000)
+    is_irreducible(CubicForm(1, 0, 0, 2))
+    tracemalloc.start()
+    try:
+        tab = enumerate_cubic_fields(100_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tab.neg) == len(tab.pos) == 100_001
+    assert peak < 600_000
 
 
 def test_count_n3_errors():
@@ -477,24 +534,48 @@ def test_tabulation_to_csv(capsys):
     assert lines[-1] == "-87,1"
     assert text.endswith("\n")
     rows = [tuple(map(int, line.split(","))) for line in lines[1:]]
-    assert dict(rows) == tab.counts
+    assert rows == list(tab.items())
     # rows are ordered by (|disc|, disc)
     discs = [disc for disc, _ in rows]
     assert discs == sorted(discs, key=lambda t: (abs(t), t))
 
 
+def _counts(size, *entries):
+    # size zero bytes, except out[i] = n for each entry (i, n)
+    out = bytearray(size)
+    for i, n in entries:
+        out[i] = n
+    return bytes(out)
+
+
 def test_tabulation_validation():
+    empty = bytes(101)
     with pytest.raises(ValueError):
-        CubicTabulation(100, {-108: 1})  # beyond xmax
+        CubicTabulation(100, empty, bytes(102))  # an entry beyond xmax
     with pytest.raises(ValueError):
-        CubicTabulation(100, {0: 1})
+        CubicTabulation(100, bytes(100), empty)  # xmax not covered
     with pytest.raises(ValueError):
-        CubicTabulation(-1, {})
+        CubicTabulation(100, _counts(101, (0, 1)), empty)  # a field of disc 0
     with pytest.raises(ValueError):
-        CubicTabulation(100, {-23: 1}, modulus=27)  # 27 does not divide -23
+        CubicTabulation(-1, b"", b"")
     with pytest.raises(ValueError):
-        CubicTabulation(100, {}, modulus=9)
-    assert CubicTabulation(200, {-108: 1}, modulus=27).counts == {-108: 1}
-    # the counts take part in equality
-    assert CubicTabulation(100, {-23: 1}) != CubicTabulation(100, {})
-    assert CubicTabulation(100, {-23: 1}) == CubicTabulation(100, {-23: 1})
+        CubicTabulation(100, empty, empty, modulus=27)  # 4 entries at modulus 27
+    with pytest.raises(ValueError):
+        CubicTabulation(100, empty, empty, modulus=9)
+    with pytest.raises(TypeError):
+        CubicTabulation(100, bytearray(101), empty)  # the counts are immutable
+    tab27 = CubicTabulation(200, _counts(8, (4, 1)), bytes(8), modulus=27)
+    assert list(tab27.items()) == [(-108, 1)]
+    assert count_N3(tab27, -108) == 1 and count_N3(tab27, 108) == 0
+    # the counts take part in equality, each under its own sign
+    one = CubicTabulation(100, _counts(101, (23, 1)), empty)
+    assert one != CubicTabulation(100, empty, empty)
+    assert one != CubicTabulation(100, empty, _counts(101, (23, 1)))
+    assert one == CubicTabulation(100, _counts(101, (23, 1)), empty)
+    assert hash(one) == hash(CubicTabulation(100, _counts(101, (23, 1)), empty))
+    # the mapping view is built from the arrays and cannot be written
+    assert one.counts == {-23: 1}
+    with pytest.raises(TypeError):
+        one.counts[-23] = 2
+    # the arrays stay out of the repr
+    assert repr(one) == "CubicTabulation(xmax=100, modulus=1)"
