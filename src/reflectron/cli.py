@@ -22,17 +22,6 @@ from .fieldtables import compare_with_table, parse_field_table
 from .quadforms import class_group
 from .reflection import Corollary5Report, corollary5_predict, predict, verify_on3
 
-_COMMANDS = ("classgroup", "cubic-tab", "verify-on", "predict", "corollary5", "check-table")
-
-_DEFAULT_FORMAT = {
-    "classgroup": "csv",
-    "cubic-tab": "csv",
-    "verify-on": "csv",
-    "predict": "json",
-    "corollary5": "json",
-    "check-table": "json",
-}
-
 # far above any core count the enumeration can use; a larger value is a
 # typo, and each worker is a process with its own sieve
 _MAX_WORKERS = 256
@@ -61,6 +50,25 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.command not in _COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
+        # the inputs each command reads; the last four take exactly one
+        # of d (one discriminant) and dmax (a range)
+        if self.command == "cubic-tab":
+            if self.xmax is None:
+                raise ValueError("cubic-tab needs xmax")
+        elif self.command == "verify-on":
+            if self.dmax is None or self.d is not None:
+                raise ValueError("verify-on needs dmax and takes no d")
+        elif (self.d is None) == (self.dmax is None):
+            raise ValueError(f"{self.command} needs exactly one of d and dmax")
+        if self.command == "check-table" and self.table is None:
+            raise ValueError("check-table needs a table")
+        needs_ell = self.command in ("predict", "check-table")
+        if needs_ell and self.ell is None and not self.corollary5:
+            raise ValueError(f"{self.command} needs --ell (or --corollary5)")
+        if self.command == "corollary5" and not self.corollary5:
+            raise ValueError("the corollary5 command needs corollary5 set")
+        if self.corollary5 and self.ell not in (None, 5):
+            raise ValueError("--corollary5 requires --ell 5")
         if not 1 <= self.workers <= _MAX_WORKERS:
             raise ValueError(
                 f"workers must be between 1 and {_MAX_WORKERS}, got {self.workers}"
@@ -115,6 +123,7 @@ def _build_parser() -> _Parser:
     common(p, scope=True)
 
     p = sub.add_parser("corollary5", help="the ell = 5 aggregate predictions")
+    p.set_defaults(ell=5, corollary5=True)
     common(p, scope=True)
 
     p = sub.add_parser("check-table", help="reconcile predictions with a field table")
@@ -129,34 +138,15 @@ def _build_parser() -> _Parser:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     # only cubic-tab and verify-on take --workers; it defaults to None there
-    workers = getattr(args, "workers", 1)
-    if workers is None:
+    if getattr(args, "workers", 1) is None:
         text = os.environ.get("REFLECTRON_WORKERS", "1")
         try:
-            workers = int(text)
+            args.workers = int(text)
         except ValueError:
-            workers = 0
-        if workers < 1:
+            args.workers = 0
+        if args.workers < 1:
             raise _UsageError(f"REFLECTRON_WORKERS must be a positive integer, got {text!r}")
-    if args.command == "check-table" and not args.corollary5 and args.ell is None:
-        raise _UsageError("check-table needs --ell (or --corollary5)")
-    if getattr(args, "corollary5", False):
-        ell = getattr(args, "ell", None)
-        if ell is not None and ell != 5:
-            raise _UsageError("--corollary5 requires --ell 5")
-    return RunConfig(
-        command=args.command,
-        dmax=getattr(args, "dmax", None),
-        xmax=getattr(args, "xmax", None),
-        ell=getattr(args, "ell", 5 if args.command == "corollary5" else None),
-        d=getattr(args, "d", None),
-        corollary5=getattr(args, "corollary5", False) or args.command == "corollary5",
-        table=getattr(args, "table", None),
-        assume_complete_below=getattr(args, "assume_complete_below", None),
-        out=args.out,
-        format=args.format,
-        workers=workers,
-    )
+    return RunConfig(**vars(args))
 
 
 def emit_report(results, format: str, columns: list[str] | None = None) -> str:
@@ -180,7 +170,9 @@ def emit_report(results, format: str, columns: list[str] | None = None) -> str:
         parts.append(
             "\n".join([",".join([_csv_cell(row[c]) for c in columns]) for row in chunk])
         )
-    return "\n".join(parts) + "\n"
+    # the empty last part ends the text in a newline, with no second copy
+    parts.append("")
+    return "\n".join(parts)
 
 
 def _csv_cell(value) -> str:
@@ -245,7 +237,7 @@ def _predictions(config: RunConfig):
             # each d also reads the class group of 5 d: a sieve that
             # covers 5 dmax lets every fundamental discriminant test walk it
             smallest_prime_factors(5 * config.dmax)
-        for d in _scope(config, 5, -5):
+        for d in _scope(config):
             if config.d is None and d % 5 == 0:
                 continue
             yield corollary5_predict(d)
@@ -278,37 +270,27 @@ def _run_predict(config: RunConfig):
 def _run_check_table(config: RunConfig):
     with open(config.table, newline="") as handle:
         entries = parse_field_table(handle)
+    bound = config.assume_complete_below
     for pred in _predictions(config):
-        result = compare_with_table(
-            pred, entries, assume_complete_below=config.assume_complete_below
-        )
-        yield {
-            "mode": result.mode,
-            "ell": result.ell,
-            "D": result.D,
-            "expected": result.expected,
-            "observed": result.observed,
-            "missing": list(result.missing),
-            "surplus": list(result.surplus),
-            "verdict": result.verdict,
-            "note": result.note,
-        }
+        # the fields are in row order, and JSON writes the tuples as lists
+        yield vars(compare_with_table(pred, entries, assume_complete_below=bound))
 
 
-# each report's runner and its CSV columns; `predict --corollary5` takes
-# the corollary5 entry
-_RUNNERS = {
-    "classgroup": (_run_classgroup, ["D", "h", "divisors", "narrow"]),
-    "cubic-tab": (_run_cubic_tab, ["disc", "count"]),
-    "verify-on": (_run_verify_on, ["ell", "D", "N3_Dstar", "N3_27D", "rhs", "verdict"]),
+# each command's runner, CSV columns and default format
+_COMMANDS = {
+    "classgroup": (_run_classgroup, ["D", "h", "divisors", "narrow"], "csv"),
+    "cubic-tab": (_run_cubic_tab, ["disc", "count"], "csv"),
+    "verify-on": (_run_verify_on, ["ell", "D", "N3_Dstar", "N3_27D", "rhs", "verdict"], "csv"),
     "predict": (
         _run_predict,
         ["ell", "D", "g", "dl_count", "lhs", "target1", "target2", "star_required"],
+        "json",
     ),
-    "corollary5": (_run_predict, ["ell", "D", "lhs", "target1", "target2", "target3"]),
+    "corollary5": (_run_predict, ["ell", "D", "lhs", "target1", "target2", "target3"], "json"),
     "check-table": (
         _run_check_table,
         ["mode", "ell", "D", "expected", "observed", "verdict"],
+        "json",
     ),
 }
 
@@ -325,9 +307,10 @@ def run(config: RunConfig) -> int:
 
     The rows stream into the report text, which is written only once it
     is built in full, so a run that raises part-way writes nothing."""
-    config = replace(config, format=config.format or _DEFAULT_FORMAT[config.command])
+    # `predict --corollary5` writes the corollary5 report
     corollary5 = config.command == "predict" and config.corollary5
-    runner, columns = _RUNNERS["corollary5" if corollary5 else config.command]
+    runner, columns, format = _COMMANDS["corollary5" if corollary5 else config.command]
+    config = replace(config, format=config.format or format)
     verdicts: set = set()
     text = emit_report(_noting_verdicts(runner(config), verdicts), config.format, columns)
     if config.out:

@@ -7,6 +7,8 @@ Checks run in one of two modes: exact (pass/fail, for the cubic case
 and the ell = 5 aggregate, where the identity pins the count) or
 lower-bound (informational, for ell >= 7, where the identity counts
 only fields satisfying a side condition no discriminant table records).
+Each prediction is matched in one pass over the entries, against the
+set of its target keys: O(entries) per prediction.
 """
 
 from __future__ import annotations
@@ -32,12 +34,8 @@ class FieldTableEntry:
     galois_label: str
 
     def __post_init__(self) -> None:
-        if self.degree < 1:
-            raise ValueError("degree must be positive")
-        if self.r2 < 0 or 2 * self.r2 > self.degree:
-            raise ValueError(f"r2 = {self.r2} is impossible in degree {self.degree}")
-        if self.disc_magnitude < 1:
-            raise ValueError("disc magnitude must be positive")
+        # a table row obeys the signature rules of the discriminant it records
+        FieldDiscriminant(self.r2, self.disc_magnitude, self.degree)
 
 
 def parse_field_table(stream) -> list[FieldTableEntry]:
@@ -76,19 +74,6 @@ def parse_field_table(stream) -> list[FieldTableEntry]:
     return entries
 
 
-def _matching_labels(
-    entries: list[FieldTableEntry], fd: FieldDiscriminant, galois_label: str
-) -> set[str]:
-    return {
-        e.label
-        for e in entries
-        if e.disc_magnitude == fd.magnitude
-        and e.degree == fd.degree
-        and e.r2 == fd.r2
-        and e.galois_label == galois_label
-    }
-
-
 @dataclass(frozen=True)
 class TableComparison:
     """Outcome of reconciling one prediction with a table.
@@ -112,12 +97,6 @@ class TableComparison:
     note: str
 
 
-def _galois_label_for(ell: int) -> str:
-    # degree-3 Frobenius closure is the full symmetric group, which is
-    # how public tables label it; beyond that the F-notation is standard
-    return "S3" if ell == 3 else f"F{ell}"
-
-
 def compare_with_table(
     pred: PredictionRecord | Corollary5Report,
     entries: list[FieldTableEntry],
@@ -134,42 +113,41 @@ def compare_with_table(
     lower-bound mode, since absence there proves nothing.
     """
     if isinstance(pred, Corollary5Report):
-        ell, D = 5, pred.d
-        exact = True
+        ell, D, exact = 5, pred.d, True
     elif isinstance(pred, PredictionRecord):
-        ell, D = pred.ell, pred.D
-        exact = ell == 3
+        ell, D, exact = pred.ell, pred.D, pred.ell == 3
     else:
         raise TypeError(f"cannot compare {type(pred).__name__} with a table")
     targets = pred.targets
     expected = pred.lhs_value
     if entries and all(e.degree != targets[0].degree for e in entries):
         raise ValueError(f"table has no degree-{targets[0].degree} entries")
-    galois = _galois_label_for(ell)
-    matched: set[str] = set()
-    for fd in targets:
-        matched |= _matching_labels(entries, fd, galois)
+    # degree-3 Frobenius closure is the full symmetric group, which is
+    # how public tables label it; beyond that the F-notation is standard
+    galois = "S3" if ell == 3 else f"F{ell}"
+    keys = {(fd.degree, fd.r2, fd.magnitude) for fd in targets}
+    matched = {
+        e.label
+        for e in entries
+        if e.galois_label == galois and (e.degree, e.r2, e.disc_magnitude) in keys
+    }
     observed = len(matched)
-    note = ""
+    missing, surplus, note = (), (), ""
     if exact and assume_complete_below is not None:
-        beyond = [fd for fd in targets if fd.magnitude > assume_complete_below]
+        beyond = sum(fd.magnitude > assume_complete_below for fd in targets)
         if beyond:
             exact = False
-            note = f"{len(beyond)} of {len(targets)} targets exceed the completeness bound"
+            note = f"{beyond} of {len(targets)} targets exceed the completeness bound"
     if not exact:
+        verdict = "informational"
+        # ell = 13 is never exact, so the bound above has set no note
         if ell == 13 and expected > 0 and observed == 0:
-            mark = "zero observed at ell = 13 with positive prediction; recorded, not failed"
-            note = f"{note}; {mark}" if note else mark
-        return TableComparison(
-            "lower-bound", ell, D, expected, observed, (), (), "informational", note
-        )
-    if observed == expected:
-        return TableComparison("exact", ell, D, expected, observed, (), (), "pass", note)
-    if observed < expected:
-        missing = tuple(fd.signed_value() for fd in targets)
-        return TableComparison(
-            "exact", ell, D, expected, observed, missing, (), "fail", note
-        )
-    return TableComparison(
-        "exact", ell, D, expected, observed, (), tuple(sorted(matched)), "fail", note
-    )
+            note = "zero observed at ell = 13 with positive prediction; recorded, not failed"
+    elif observed == expected:
+        verdict = "pass"
+    elif observed < expected:
+        verdict, missing = "fail", tuple(fd.signed_value() for fd in targets)
+    else:
+        verdict, surplus = "fail", tuple(sorted(matched))
+    mode = "exact" if exact else "lower-bound"
+    return TableComparison(mode, ell, D, expected, observed, missing, surplus, verdict, note)

@@ -548,6 +548,24 @@ def test_emit_report_joins_chunks_without_a_seam():
     assert emit_report(({"n": i} for i in range(n)), "csv", ["n"]) == expected
 
 
+def test_emit_report_peaks_near_two_copies_of_its_text():
+    # the chunks and their join are alive together, and nothing more:
+    # no third copy of the text to end it in a newline
+    columns = ["ell", "D", "N3_Dstar", "N3_27D", "rhs", "verdict"]
+    rows = (
+        {"ell": 3, "D": -d, "N3_Dstar": d % 7, "N3_27D": d % 5, "rhs": d % 3, "verdict": "pass"}
+        for d in range(50_000)
+    )
+    tracemalloc.start()
+    try:
+        text = emit_report(rows, "csv", columns)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert text.count("\n") == 50_001 and text.endswith("3,-49999,5,4,1,pass\n")
+    assert peak < 2.5 * len(text)
+
+
 class _CountedRow(Mapping):
     """A one-column row that counts how many of its kind are alive."""
 
@@ -583,19 +601,33 @@ def test_emit_report_holds_at_most_one_chunk_of_rows(monkeypatch):
 
 
 def test_runconfig_validation():
-    for bad in (
-        dict(command="frobnicate"),
-        dict(command="classgroup", workers=0),
-        dict(command="cubic-tab", xmax=100, workers=257),
-        dict(command="cubic-tab", xmax=100, workers=10**9),
-        dict(command="cubic-tab", xmax=-5),
-        dict(command="classgroup", dmax=0),
-        dict(command="classgroup", format="xml"),
+    for bad, fragment in (
+        (dict(command="frobnicate"), "unknown command"),
+        (dict(command="classgroup", d=-23, workers=0), "workers"),
+        (dict(command="cubic-tab", xmax=100, workers=257), "workers"),
+        (dict(command="cubic-tab", xmax=100, workers=10**9), "workers"),
+        (dict(command="cubic-tab", xmax=-5), "xmax must be positive"),
+        (dict(command="classgroup", dmax=0), "dmax must be positive"),
+        (dict(command="classgroup", d=-23, format="xml"), "unknown format"),
+        # every config that run() cannot execute, each input once
+        (dict(command="classgroup"), "exactly one of d and dmax"),
+        (dict(command="classgroup", d=-23, dmax=100), "exactly one of d and dmax"),
+        (dict(command="cubic-tab"), "needs xmax"),
+        (dict(command="verify-on"), "needs dmax"),
+        (dict(command="verify-on", dmax=100, d=-23), "takes no d"),
+        (dict(command="predict", d=-23), "needs --ell"),
+        (dict(command="check-table", ell=5, d=-3), "needs a table"),
+        (dict(command="check-table", table="t.csv", d=-3), "needs --ell"),
+        (dict(command="corollary5", d=-3), "needs corollary5 set"),
+        (dict(command="predict", ell=7, corollary5=True, d=-3), "requires --ell 5"),
+        (dict(command="corollary5", ell=7, corollary5=True, d=-3), "requires --ell 5"),
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=fragment):
             RunConfig(**bad)
     assert RunConfig(command="classgroup", dmax=100).workers == 1
     assert RunConfig(command="cubic-tab", xmax=100, workers=256).workers == 256
+    RunConfig(command="check-table", table="t.csv", corollary5=True, dmax=100)
+    RunConfig(command="corollary5", ell=5, corollary5=True, d=-3)
 
 
 def test_huge_worker_count_exits_1_before_any_work(capsys, monkeypatch):

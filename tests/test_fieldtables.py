@@ -7,10 +7,16 @@ import pytest
 from reflectron.arith import fundamental_discriminants_in
 from reflectron.fieldtables import (
     FieldTableEntry,
+    TableComparison,
     compare_with_table,
     parse_field_table,
 )
-from reflectron.reflection import FieldDiscriminant, corollary5_predict, predict
+from reflectron.reflection import (
+    Corollary5Report,
+    FieldDiscriminant,
+    corollary5_predict,
+    predict,
+)
 
 FIXTURE = Path(__file__).parent / "data" / "f5_synthetic.csv"
 
@@ -204,3 +210,93 @@ def test_fixture_round_trips_through_serialization():
             f"{e.label},{e.degree},{e.r2},{e.disc_magnitude},{e.galois_label}"
         )
     assert parse_field_table("\n".join(lines) + "\n") == entries
+
+
+def _compare_by_brute_force(pred, entries, assume_complete_below):
+    # the rules as the docstrings state them, one full scan per target
+    if isinstance(pred, Corollary5Report):
+        ell, D, exact = 5, pred.d, True
+    else:
+        ell, D, exact = pred.ell, pred.D, pred.ell == 3
+    galois = "S3" if ell == 3 else f"F{ell}"
+    labels = set()
+    for t in pred.targets:
+        for e in entries:
+            if (
+                e.degree == t.degree
+                and e.r2 == t.r2
+                and e.disc_magnitude == t.magnitude
+                and e.galois_label == galois
+            ):
+                labels.add(e.label)
+    expected, observed = pred.lhs_value, len(labels)
+    note = ""
+    if exact and assume_complete_below is not None:
+        beyond = [t for t in pred.targets if t.magnitude > assume_complete_below]
+        if beyond:
+            exact = False
+            note = f"{len(beyond)} of {len(pred.targets)} targets exceed the completeness bound"
+    if not exact:
+        if ell == 13 and expected > 0 and observed == 0:
+            note = "zero observed at ell = 13 with positive prediction; recorded, not failed"
+        args = ("lower-bound", (), (), "informational")
+    elif observed == expected:
+        args = ("exact", (), (), "pass")
+    elif observed < expected:
+        args = ("exact", tuple(t.signed_value() for t in pred.targets), (), "fail")
+    else:
+        args = ("exact", (), tuple(sorted(labels)), "fail")
+    mode, missing, surplus, verdict = args
+    return TableComparison(
+        mode, ell, D, expected, observed, missing, surplus, verdict, note
+    )
+
+
+def _near_misses(rng, t, galois, label):
+    # one entry off the target in each key field, all else equal
+    others = [r2 for r2 in range(t.degree // 2 + 1) if r2 != t.r2]
+    wrong_labels = [g for g in ("C3", "S3", "D5", "F5", "F7", "S5") if g != galois]
+    return [
+        entry(label(), t.degree + 1, t.r2, t.magnitude, galois),
+        entry(label(), t.degree, rng.choice(others), t.magnitude, galois),
+        entry(label(), t.degree, t.r2, t.magnitude + rng.choice((-1, 1)), galois),
+        entry(label(), t.degree, t.r2, t.magnitude, rng.choice(wrong_labels)),
+    ]
+
+
+def test_compare_matches_a_per_target_brute_force_scan():
+    rng = random.Random(20261019)
+    preds = [predict(3, D) for D in (-23, -31, -4, 229, 321)]
+    preds += [predict(5, -11), predict(7, -4), predict(13, -191)]
+    preds += [corollary5_predict(d) for d in (-47, -11, 13, -3, 41)]
+    seen = set()
+    for trial in range(400):
+        pred = rng.choice(preds)
+        galois = "S3" if pred.targets[0].degree == 3 else f"F{pred.targets[0].degree}"
+        # a small label pool, so labels repeat within and across targets
+        pool = rng.randrange(2, 10)
+
+        def label():
+            return f"L{rng.randrange(pool)}"
+
+        entries = [entry("filler", pred.targets[0].degree, 0, 1, galois)]
+        for t in pred.targets:
+            for _ in range(rng.randrange(4)):
+                entries.append(entry(label(), t.degree, t.r2, t.magnitude, galois))
+            entries += _near_misses(rng, t, galois, label)
+        entries += rng.choice(([], entries[: rng.randrange(len(entries))]))
+        rng.shuffle(entries)
+        magnitudes = sorted(t.magnitude for t in pred.targets)
+        bound = rng.choice([None, None, magnitudes[0] - 1, magnitudes[0], magnitudes[-1]])
+        got = compare_with_table(pred, entries, assume_complete_below=bound)
+        assert got == _compare_by_brute_force(pred, entries, bound), (trial, pred)
+        seen.add((got.verdict, bool(got.missing), bool(got.surplus), bool(got.note)))
+    # every outcome is reached: pass, both kinds of fail, and
+    # informational with and without a note
+    assert {
+        ("pass", False, False, False),
+        ("fail", True, False, False),
+        ("fail", False, True, False),
+        ("informational", False, False, False),
+        ("informational", False, False, True),
+    } <= seen
