@@ -26,9 +26,9 @@ from .reflection import Corollary5Report, corollary5_predict, predict, verify_on
 # typo, and each worker is a process with its own sieve
 _MAX_WORKERS = 256
 
-# CSV lines built and joined per piece of a report; a report holds one
-# chunk of rows and lines at a time, not one object per row
-_CSV_CHUNK = 4096
+# rows rendered and joined per piece of a report; a report holds one
+# chunk of rows and their text at a time, not one object per row
+_REPORT_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -152,27 +152,44 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 def emit_report(results, format: str, columns: list[str] | None = None) -> str:
     """Serialize result rows with a stable field order.
 
-    JSON keeps rows as given; CSV needs flat rows and emits the listed
-    columns, which it requires.  CSV reads `results` once, as any
-    iterable, and holds one chunk of its lines at a time besides the
-    text.
+    JSON keeps rows as given, and its text is json.dumps(rows, indent=2)
+    and a newline; CSV needs flat rows and emits the listed columns,
+    which it requires.  Either reads `results` once, as any iterable, and
+    holds one chunk of its rows and their lines at a time besides the
+    pieces of the text and their join.
     """
     if format == "json":
-        return json.dumps(list(results), indent=2) + "\n"
+        pieces = list(_pieces(results, _json_row, ",\n"))
+        if not pieces:
+            return "[]\n"
+        # the brackets go on the first and last piece, not on a copy of
+        # the whole text
+        pieces[0] = "[\n" + pieces[0]
+        pieces[-1] += "\n]\n"
+        return ",\n".join(pieces)
     if format != "csv":
         raise ValueError(f"unknown format {format!r}")
     if columns is None:
         raise ValueError("a CSV report needs its columns")
-    rows = iter(results)
     parts = [",".join(columns)]
-    for head in rows:
-        chunk = chain([head], islice(rows, _CSV_CHUNK - 1))
-        parts.append(
-            "\n".join([",".join([_csv_cell(row[c]) for c in columns]) for row in chunk])
-        )
+    parts.extend(
+        _pieces(results, lambda row: ",".join([_csv_cell(row[c]) for c in columns]), "\n")
+    )
     # the empty last part ends the text in a newline, with no second copy
     parts.append("")
     return "\n".join(parts)
+
+
+def _pieces(results, line, sep: str):
+    # the rows' lines joined by sep, one chunk of rows at a time
+    rows = iter(results)
+    for head in rows:
+        yield sep.join([line(row) for row in chain([head], islice(rows, _REPORT_CHUNK - 1))])
+
+
+def _json_row(row) -> str:
+    # a row dumped alone sits one level shallower than in the list
+    return "  " + json.dumps(row, indent=2).replace("\n", "\n  ")
 
 
 def _csv_cell(value) -> str:

@@ -14,10 +14,23 @@ Negative-discriminant classes are picked out by reduction against the
 real root, where each class carries exactly two reduced representatives
 swapped by the same mirror and the sign of b (then of d) breaks the
 tie.  Every bound and every counting decision is an exact integer
-test, with no floating point.  On the negative side b and c are bounded
-by integer forms of the root bounds, and d runs only over the closed
-integer ranges on which the three reduction tests and
--xmax <= disc < 0 hold, each cut found by one isqrt.
+test, with no floating point.  On both sides d runs only over the closed
+integer ranges on which the reduction tests and the discriminant bound
+hold, each cut found by one isqrt.  On the negative side b and c are
+bounded by integer forms of the root bounds, and c starts at the least
+value that |disc| > 3 a^2 f'(t)^2, at the real root t, leaves possible.
+
+Each form the walks meet is then tested cheapest first, and the tests
+are terms of one AND, so their order cannot change a verdict:
+primitivity (one gcd), non-maximality at 2 and 3 (one lookup each in
+tables mod 4 and 9), non-maximality at each p >= 5 with p^2 | disc
+(read off the shared sieve), a root mod 2, 3, 5, 7 and 11 (one lookup
+each), and only then the divisor search for a rational root.  The
+tables are indexed by (a, b, c, d) mod m and built on first use; each
+(a, b, c) that gets a d slices every table once into a row indexed by
+d mod m.  Non-maximality at p implies p^2 | disc, so the tables mod 4
+and 9 need no divisibility test first.  is_irreducible and is_maximal
+go through the same per-form test.
 
 A maximal cubic field has 27 | disc exactly when 3 is totally ramified,
 that is when its forms reduce mod 3 to a unit times a cube,
@@ -39,7 +52,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, product
 from math import gcd, isqrt
 from operator import or_
 from types import MappingProxyType
@@ -61,11 +74,13 @@ _UNIMODULAR_BY_COLUMN = tuple(
     if p or r
 )
 
-# primes of the irreducibility sieve; the table of p, built on first
-# use, is indexed by (a, b, c, d) mod p and is 0 where the form has no
-# projective root mod p
+# the tables of the per-form tests as (m, table), built on first use,
+# each indexed by (a, b, c, d) mod m: first the non-maximality tables
+# mod 4 and 9, 1 where the ring of the form is not maximal at 2 or 3,
+# then the root tables of the irreducibility sieve mod 2, 3, 5, 7, 11, 0
+# where the form has no projective root mod p
 _SIEVE_PRIMES = (2, 3, 5, 7, 11)
-_SIEVE: list[tuple[int, bytes]] = []
+_TABLES: list[tuple[int, bytes]] = []
 
 
 @dataclass(frozen=True)
@@ -163,36 +178,6 @@ def _root_table(p: int) -> bytes:
     return bytes(table)
 
 
-def _has_rational_root(a: int, b: int, c: int, d: int) -> bool:
-    # a linear factor q x - p y gives a projective root (q : p) mod every
-    # prime, so one prime without a root settles the question
-    if d == 0:
-        return True
-    if not _SIEVE:
-        _SIEVE.extend((p, _root_table(p)) for p in _SIEVE_PRIMES)
-    for p, table in _SIEVE:
-        if not table[((a % p * p + b % p) * p + c % p) * p + d % p]:
-            return False
-    # roots of a x^3 + b x^2 + c x + d are p/q with p | d, q | a
-    dd = _divisors(abs(d))
-    for q in _divisors(abs(a)):
-        qq = q * q
-        for p in dd:
-            if gcd(p, q) != 1:
-                continue
-            if ((a * p + b * q) * p + c * qq) * p + d * qq * q == 0:
-                return True
-            if ((a * p - b * q) * p + c * qq) * p - d * qq * q == 0:
-                return True
-    return False
-
-
-def is_irreducible(f: CubicForm) -> bool:
-    """True when f has no linear factor over the rationals (for a binary
-    cubic this is full irreducibility)."""
-    return f.a != 0 and not _has_rational_root(f.a, f.b, f.c, f.d)
-
-
 def _nonmax_at(a: int, b: int, c: int, d: int, p: int) -> bool:
     # the ring of the form fails to be maximal at p exactly when f has a
     # repeated root r mod p whose value lifts to 0 mod p^2; the lift test
@@ -210,13 +195,89 @@ def _nonmax_at(a: int, b: int, c: int, d: int, p: int) -> bool:
     return a % p == 0 and b % p == 0 and a % pp == 0
 
 
-def _maximal(a: int, b: int, c: int, d: int, square_primes) -> bool:
-    if gcd(gcd(a, b), gcd(c, d)) != 1:
+def _nonmax_table(p: int) -> bytes:
+    # _nonmax_at reads the coefficients only mod p^2
+    m = p * p
+    residues = product(range(m), repeat=4)
+    return bytes(_nonmax_at(a, b, c, d, p) for a, b, c, d in residues)
+
+
+def _rows(a: int, b: int, c: int) -> tuple:
+    # the content gcd(a, b, c), then each of _TABLES sliced at (a, b, c)
+    # mod m into a row of m bytes indexed by d mod m
+    if not _TABLES:
+        # filled in one step, so no caller ever sees part of the list
+        _TABLES[:] = [(p * p, _nonmax_table(p)) for p in (2, 3)] + [
+            (p, _root_table(p)) for p in _SIEVE_PRIMES
+        ]
+    rows = [gcd(gcd(a, b), c)]
+    for m, table in _TABLES:
+        base = ((a % m * m + b % m) * m + c % m) * m
+        rows.append(table[base : base + m])
+    return tuple(rows)
+
+
+def _has_rational_root(a: int, b: int, c: int, d: int) -> bool:
+    # roots of a x^3 + b x^2 + c x + d are p/q with p | d, q | a, and
+    # (0 : 1) is one when d = 0
+    if d == 0:
+        return True
+    dd = _divisors(abs(d))
+    for q in _divisors(abs(a)):
+        qq = q * q
+        for p in dd:
+            if gcd(p, q) != 1:
+                continue
+            if ((a * p + b * q) * p + c * qq) * p + d * qq * q == 0:
+                return True
+            if ((a * p - b * q) * p + c * qq) * p - d * qq * q == 0:
+                return True
+    return False
+
+
+def _is_field(a: int, b: int, c: int, d: int, rows: tuple, n: int, spf) -> bool:
+    # True when the form is primitive, maximal and irreducible.  rows is
+    # _rows(a, b, c); n is |disc| with any number of its factors 3
+    # removed; spf[m] is the least prime factor of each m > 1 that n
+    # leaves when its factors 2 and 3, then its least primes, are
+    # divided out (a sieve table that covers n, say).  The tests run
+    # cheapest first, and each is one term of an AND, so the order
+    # cannot change the verdict.  Non-maximality at p implies p^2 | disc
+    # (move the double root to 0: then p | c and p^2 | d, or p^2 | a and
+    # p | b at infinity, and every term of disc has a factor p^2), so
+    # the tables mod 4 and 9 need no divisibility test first
+    g, m4, m9, r2, r3, r5, r7, r11 = rows
+    if g != 1 and gcd(g, d) != 1:
         return False
-    for p in square_primes:
-        if _nonmax_at(a, b, c, d, p):
-            return False
-    return True
+    if m4[d & 3] or m9[d % 9]:
+        return False
+    n //= n & -n
+    while n % 3 == 0:
+        n //= 3
+    while n > 1:
+        p = spf[n]
+        n //= p
+        if n % p == 0:
+            if _nonmax_at(a, b, c, d, p):
+                return False
+            while n % p == 0:
+                n //= p
+    # a linear factor q x - p y gives a projective root (q : p) mod every
+    # prime, so one prime without a root settles the question
+    if not (r2[d & 1] and r3[d % 3] and r5[d % 5] and r7[d % 7] and r11[d % 11]):
+        return True
+    return not _has_rational_root(a, b, c, d)
+
+
+def is_irreducible(f: CubicForm) -> bool:
+    """True when f has no linear factor over the rationals (for a binary
+    cubic this is full irreducibility)."""
+    a, b, c, d = f.a, f.b, f.c, f.d
+    if a == 0:
+        return False
+    # with content 1, no non-maximality and n = 1 only the root tests run
+    _, _, _, *roots = _rows(a, b, c)
+    return _is_field(a, b, c, d, (1, bytes(4), bytes(9), *roots), 1, None)
 
 
 def is_maximal(f: CubicForm) -> bool:
@@ -224,35 +285,20 @@ def is_maximal(f: CubicForm) -> bool:
     its field; only irreducible forms are accepted."""
     if not is_irreducible(f):
         raise ValueError("maximality is only defined for irreducible forms")
-    disc = cubic_disc(f)
-    sq = [p for p, e in factorize(abs(disc)).factors if e >= 2]
-    return _maximal(f.a, f.b, f.c, f.d, sq)
+    a, b, c, d = f.a, f.b, f.c, f.d
+    # the smallest prime factor of each cofactor _is_field meets, read
+    # off one factorization in place of a sieve table
+    disc = abs(cubic_disc(f))
+    spf = {}
+    n = disc
+    for p, e in factorize(disc).factors:
+        spf[n] = p
+        n //= p**e
+    return _is_field(a, b, c, d, _rows(a, b, c), disc, spf)
 
 
 # ---------------------------------------------------------------------------
 # enumeration, positive discriminant
-
-
-def _square_primes(disc: int, spf, modulus: int) -> list[int]:
-    # primes p with p^2 | disc, read off a sieve table that reaches
-    # disc // modulus: with modulus 27, 3 always divides disc to a square
-    # and p != 3 does exactly when p^2 | disc // 27
-    out = []
-    n = disc
-    if modulus == 27:
-        out.append(3)
-        n //= 27
-        while n % 3 == 0:
-            n //= 3
-    while n > 1:
-        p = spf[n]
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        if e >= 2:
-            out.append(p)
-    return out
 
 
 def _hessian_reduced(a: int, b: int, c: int, d: int) -> bool:
@@ -293,57 +339,6 @@ def _real_amax(xmax: int) -> int:
     return isqrt(4 * isqrt(xmax) // 27) + 2
 
 
-def _real_walk(xmax: int, a: int, modulus: int) -> array:
-    # the discriminant of each canonical form with leading coefficient a
-    # and 0 < disc <= xmax
-    found = array("q")
-    step = _MODULI[modulus]
-    rx = isqrt(xmax)
-    spf = smallest_prime_factors(xmax // modulus)
-    ta = 3 * a
-    na = 9 * a
-    bmax = 3 * a // 2 + isqrt(rx) + 2
-    # the mirror (b, d) -> (-b, -d) keeps P, R and |Q|, and of the two
-    # the one with b > 0, or b = 0 and d > 0, is never the least
-    for b in range(-bmax + bmax % step, 1, step):
-        bb = b * b
-        # 1 <= P = b^2 - 3ac <= sqrt(xmax) pins the c window
-        clo = -((rx - bb) // ta)
-        chi = (bb - 1) // ta
-        for c in range(clo + -clo % step, chi + 1, step):
-            P = bb - ta * c
-            bc = b * c
-            # |Q| = |bc - 9ad| <= P pins the d window
-            dlo = -((P - bc) // na)
-            dhi = (bc + P) // na
-            if b == 0 and dhi > 0:
-                dhi = 0
-            for d in range(dlo, dhi + 1):
-                R = c * c - 3 * b * d
-                if R < P:
-                    continue
-                Q = bc - na * d
-                t = 4 * P * R - Q * Q
-                # t >= 3 P^2 >= 3 here, so only the upper bound can fail
-                if t > 3 * xmax:
-                    continue
-                if _has_rational_root(a, b, c, d):
-                    continue
-                disc = t // 3
-                if not _maximal(a, b, c, d, _square_primes(disc, spf, modulus)):
-                    continue
-                # off the boundary |Q| = P or P = R the mirror is the
-                # only other orbit member with a > 0 and a reduced Hessian
-                if (P == R or Q == P or Q == -P) and not _canonical_real(a, b, c, d):
-                    continue
-                found.append(disc)
-    return found
-
-
-# ---------------------------------------------------------------------------
-# enumeration, negative discriminant
-
-
 def _band(rad: int, B: int, k: int) -> tuple[int, int]:
     # the closed range of the integers d with (k d - B)^2 <= rad, which
     # are those with |k d - B| <= isqrt(rad); empty (lo > hi) if rad < 0
@@ -366,6 +361,78 @@ def _without(
         if hi < v:
             out.append((max(u, hi + 1), v))
     return out
+
+
+def _real_d_ranges(a: int, b: int, c: int, xmax: int) -> list[tuple[int, int]]:
+    # the disjoint closed d ranges, ascending, on which (a, b, c, d) has
+    # a reduced Hessian |Q| <= P <= R, has b < 0 or b = 0 and d <= 0, and
+    # has disc <= xmax, for b <= 0 and P = b^2 - 3 a c > 0.  The first
+    # two are linear in d; 3 disc = 4 P R - Q^2 = -81 a^2 d^2 + L d + K,
+    # so with k = 162 a^2 and rad = L^2 + 324 a^2 (K - 3 xmax),
+    # 324 a^2 (3 disc - 3 xmax) = rad - (k d - L)^2 and disc > xmax on
+    # the open band (k d - L)^2 < rad
+    P = b * b - 3 * a * c
+    # |Q| = |bc - 9ad| <= P
+    lo = -((P - b * c) // (9 * a))
+    hi = (b * c + P) // (9 * a)
+    # R = c^2 - 3bd >= P
+    if b < 0:
+        lo = max(lo, -((c * c - P) // (-3 * b)))
+    elif c * c < P:
+        return []
+    else:
+        hi = min(hi, 0)
+    if lo > hi:
+        return []
+    L = 6 * b * (3 * a * c - 2 * P)
+    K = (4 * P - b * b) * c * c
+    rad = L * L + 324 * a * a * (K - 3 * xmax)
+    return _without([(lo, hi)], *_band(rad - 1, L, 162 * a * a))
+
+
+def _real_walk(xmax: int, a: int, modulus: int) -> array:
+    # the discriminant of each canonical form with leading coefficient a
+    # and 0 < disc <= xmax
+    found = array("q")
+    step = _MODULI[modulus]
+    rx = isqrt(xmax)
+    spf = smallest_prime_factors(xmax // modulus)
+    ta = 3 * a
+    na = 9 * a
+    bmax = 3 * a // 2 + isqrt(rx) + 2
+    # the mirror (b, d) -> (-b, -d) keeps P, R and |Q|, and of the two
+    # the one with b > 0, or b = 0 and d > 0, is never the least
+    for b in range(-bmax + bmax % step, 1, step):
+        bb = b * b
+        # 1 <= P = b^2 - 3ac <= sqrt(xmax) pins the c window
+        clo = -((rx - bb) // ta)
+        chi = (bb - 1) // ta
+        for c in range(clo + -clo % step, chi + 1, step):
+            ranges = _real_d_ranges(a, b, c, xmax)
+            if not ranges:
+                continue
+            rows = _rows(a, b, c)
+            P = bb - ta * c
+            bc = b * c
+            for lo, hi in ranges:
+                for d in range(lo, hi + 1):
+                    R = c * c - 3 * b * d
+                    Q = bc - na * d
+                    # 4 P R - Q^2 >= 3 P^2 >= 3, so disc >= 1
+                    disc = (4 * P * R - Q * Q) // 3
+                    if not _is_field(a, b, c, d, rows, disc // modulus, spf):
+                        continue
+                    # off the boundary |Q| = P or P = R the mirror is the
+                    # only other orbit member with a > 0 and a reduced
+                    # Hessian
+                    if (P == R or Q == P or Q == -P) and not _canonical_real(a, b, c, d):
+                        continue
+                    found.append(disc)
+    return found
+
+
+# ---------------------------------------------------------------------------
+# enumeration, negative discriminant
 
 
 def _d_ranges(a: int, b: int, c: int, xmax: int) -> list[tuple[int, int]]:
@@ -404,28 +471,45 @@ def _complex_walk(xmax: int, a: int, modulus: int) -> array:
     # -xmax <= disc < 0 that is reduced against the real root t, has
     # b < 0 or b = 0 and d < 0, and is irreducible and maximal.  With
     # u = a t the root satisfies |u + b| < a, |u| <= (4 xmax / 3)^(1/4)
-    # < umax, and a < q(t) = c + u (u + b) / a, so |b| < a + umax, and c
-    # starts at the least value with a c > a^2 - u (u + b) for some u in
-    # -a - b < u <= min(a - b, umax), where the convex u (u + b) is
-    # greatest at an end.  Also 4 a q(t) <= (16 a^2 xmax)^(1/3) + a^2,
-    # and the least value of u (u + b) on |u + b| < a is m / 4, so c
-    # stops at the first value with (4 a c + m - a^2)^3 > 16 a^2 xmax
+    # < umax, and a < q(t) = c + u (u + b) / a, so |b| < a + umax.  Now
+    # f(x, 1) = (x - t) g(x) with g(x) = a x^2 + (u + b) x + q(t) positive
+    # definite, so xmax >= |disc| = (4 a q(t) - (u + b)^2) g(t)^2, which is
+    # more than 3 a^2 g(t)^2, where a g(t) = a c + 3 u^2 + 2 b u > 0.  So
+    # a c + 3 u^2 + 2 b u < y, as y = isqrt(xmax // 3) + 1 > sqrt(xmax / 3),
+    # and with a c > a^2 - u (u + b) that needs 2 u^2 + b u + a^2 < y, that
+    # is (4 u + b)^2 < b^2 + 8 (y - a^2).  So u lies in that band, taken
+    # with its ends widened to quarter-integers, and in -a - b < u <=
+    # min(a - b, umax), and c starts at the least value with
+    # a c > a^2 - u (u + b) for some u in this window, where the
+    # convex u (u + b) is greatest at an end.  Also 4 a q(t) <=
+    # (16 a^2 xmax)^(1/3) + a^2, and the least value of u (u + b) on
+    # |u + b| < a is m / 4, so c stops at the first value with
+    # (4 a c + m - a^2)^3 > 16 a^2 xmax
     found = array("q")
     step = _MODULI[modulus]
     spf = smallest_prime_factors(xmax // modulus)
     umax = isqrt(isqrt(4 * xmax // 3)) + 1
+    y = isqrt(xmax // 3) + 1
     cmax = 16 * a * a * xmax
     bmax = a + umax
     for b in range(-bmax + bmax % step, 1, step):
-        u = min(a - b, umax)
-        c = (a * a - max(a * (a + b), u * (u + b))) // a + 1
+        rad = b * b + 8 * (y - a * a)
+        if rad < 0:
+            continue
+        s = isqrt(rad)
+        # the ends of the u window, times 4
+        lo = max(-4 * (a + b), -b - s - 1)
+        hi = min(4 * min(a - b, umax), -b + s + 1)
+        if lo > hi:
+            continue
+        c = (16 * a * a - max(lo * (lo + 4 * b), hi * (hi + 4 * b))) // (16 * a) + 1
         c += -c % step
         m = -b * b if -b < 2 * a else 4 * a * (a + b)
         while (4 * a * c + m - a * a) ** 3 <= cmax:
-            for lo, hi in _d_ranges(a, b, c, xmax):
+            ranges = _d_ranges(a, b, c, xmax)
+            rows = _rows(a, b, c) if ranges else None
+            for lo, hi in ranges:
                 for d in range(lo, hi + 1):
-                    if _has_rational_root(a, b, c, d):
-                        continue
                     disc = (
                         18 * a * b * c * d
                         + b * b * c * c
@@ -433,9 +517,8 @@ def _complex_walk(xmax: int, a: int, modulus: int) -> array:
                         - 4 * b**3 * d
                         - 27 * a * a * d * d
                     )
-                    if not _maximal(a, b, c, d, _square_primes(-disc, spf, modulus)):
-                        continue
-                    found.append(disc)
+                    if _is_field(a, b, c, d, rows, -disc // modulus, spf):
+                        found.append(disc)
             c += step
     return found
 

@@ -543,7 +543,7 @@ def test_emit_report_streams_a_generator(rows, format, columns):
 
 def test_emit_report_joins_chunks_without_a_seam():
     # one line per row across every chunk boundary, none lost or doubled
-    n = 2 * cli._CSV_CHUNK + 1
+    n = 2 * cli._REPORT_CHUNK + 1
     expected = "n\n" + "".join(f"{i}\n" for i in range(n))
     assert emit_report(({"n": i} for i in range(n)), "csv", ["n"]) == expected
 
@@ -563,6 +563,46 @@ def test_emit_report_peaks_near_two_copies_of_its_text():
     finally:
         tracemalloc.stop()
     assert text.count("\n") == 50_001 and text.endswith("3,-49999,5,4,1,pass\n")
+    assert peak < 2.5 * len(text)
+
+
+def _comparison_rows(n):
+    # rows shaped as check-table writes them, with nested lists, None and
+    # strings that JSON must escape
+    for i in range(n):
+        yield {
+            "mode": "exact",
+            "ell": 5,
+            "D": -4 * i - 3,
+            "expected": i % 4,
+            "observed": i % 3,
+            "missing": [-(i * 25) - 1, i * 125] if i % 2 else [],
+            "surplus": [f"5.1.{i}.1", 'q"\n\u00e9'] if i % 5 == 0 else [],
+            "verdict": "pass" if i % 7 else "fail",
+            "note": None if i % 3 else "",
+        }
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 2 * cli._REPORT_CHUNK + 1])
+def test_emit_report_json_is_one_dump_of_the_rows(n):
+    # rows dumped one at a time and joined in chunks give the bytes of
+    # one dump of the whole list
+    expected = json.dumps(list(_comparison_rows(n)), indent=2) + "\n"
+    assert emit_report(_comparison_rows(n), "json") == expected
+
+
+def test_emit_report_json_peaks_near_two_copies_of_its_text():
+    # the pieces and their join are alive together, with one chunk of
+    # rows, and not the row list and two copies of the text as one dump
+    # of the list held
+    tracemalloc.start()
+    try:
+        text = emit_report(_comparison_rows(20_000), "json")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert text.startswith("[\n  {\n") and text.endswith('"note": null\n  }\n]\n')
+    assert text.count('"mode"') == 20_000
     assert peak < 2.5 * len(text)
 
 
@@ -596,7 +636,7 @@ def test_emit_report_holds_at_most_one_chunk_of_rows(monkeypatch):
     monkeypatch.setattr(_CountedRow, "peak", 0)
     text = emit_report((_CountedRow(i) for i in range(20_000)), "csv", ["n"])
     assert text.count("\n") == 20_001
-    assert 0 < _CountedRow.peak <= cli._CSV_CHUNK
+    assert 0 < _CountedRow.peak <= cli._REPORT_CHUNK
     assert _CountedRow.live == 0
 
 

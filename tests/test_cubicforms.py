@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 import subprocess
 import sys
@@ -105,16 +106,47 @@ def test_irreducibility_matches_sympy():
 
 
 def test_sieve_tables_match_direct_evaluation():
-    # the tables are built on the first call that reaches the sieve
-    cubicforms._has_rational_root(1, 0, 0, 2)
-    tables = dict(cubicforms._SIEVE)
-    assert sorted(tables) == [2, 3, 5, 7, 11]
-    for p, table in tables.items():
+    # the tables are built on the first call that slices them
+    cubicforms._rows(1, 0, 0)
+    tables = dict(cubicforms._TABLES)
+    assert [m for m, _ in cubicforms._TABLES] == [4, 9, 2, 3, 5, 7, 11]
+    for p in cubicforms._SIEVE_PRIMES:
+        table = tables[p]
         assert len(table) == p**4
         for i, (a, b, c, d) in enumerate(itertools.product(range(p), repeat=4)):
             # (1 : 0) is a root when a = 0, (x : 1) when f(x, 1) = 0
             root = a == 0 or any((a * x**3 + b * x * x + c * x + d) % p == 0 for x in range(p))
             assert table[i] == root, (p, a, b, c, d)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_nonmaximality_tables_match_nonmax_at(p):
+    # every entry of the mod-p^2 table, 256 for p = 2 and 6,561 for p = 3
+    cubicforms._rows(1, 0, 0)
+    m = p * p
+    table = dict(cubicforms._TABLES)[m]
+    assert len(table) == m**4
+    for i, (a, b, c, d) in enumerate(itertools.product(range(m), repeat=4)):
+        assert table[i] == cubicforms._nonmax_at(a, b, c, d, p), (p, a, b, c, d)
+    # and both verdicts occur
+    assert 0 < sum(table) < m**4
+
+
+def test_rows_are_the_tables_sliced_at_a_b_c():
+    # row i of _rows(a, b, c) read at d is the table entry of (a, b, c, d)
+    # mod m, for negative and large coefficients as well
+    rng = random.Random(16)
+    triples = [(a, b, c) for a in (1, 2, 9) for b in (-13, 0, 4) for c in (-30, 1, 36)]
+    triples += [tuple(rng.randint(-10**6, 10**6) for _ in range(3)) for _ in range(50)]
+    for a, b, c in triples:
+        rows = cubicforms._rows(a, b, c)
+        assert rows[0] == math.gcd(a, b, c)
+        assert len(rows) == 1 + len(cubicforms._TABLES)
+        for row, (m, table) in zip(rows[1:], cubicforms._TABLES):
+            assert len(row) == m
+            for d in range(-2 * m, 2 * m):
+                index = ((a % m * m + b % m) * m + c % m) * m + d % m
+                assert row[d % m] == table[index], (a, b, c, d, m)
 
 
 def test_products_with_a_linear_factor_are_reducible():
@@ -155,13 +187,125 @@ def test_irreducibility_matches_sympy_on_large_coefficients():
 
 
 def test_sieve_tables_are_built_on_first_use():
+    # neither the root tables nor the mod-4 and mod-9 non-maximality
+    # tables are built by importing the command line, so setup stays put
     code = (
         "import reflectron.cli, reflectron.cubicforms as c\n"
-        "assert c._SIEVE == [], 'built at import'\n"
-        "c._has_rational_root(1, 0, 0, 2)\n"
-        "assert [p for p, _ in c._SIEVE] == [2, 3, 5, 7, 11]\n"
+        "assert c._TABLES == [], 'built at import'\n"
+        "c.is_irreducible(c.CubicForm(1, 0, 0, 2))\n"
+        "assert [m for m, _ in c._TABLES] == [4, 9, 2, 3, 5, 7, 11]\n"
     )
     subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def test_nonmaximality_implies_p_squared_divides_disc():
+    # the per-form test reads the tables mod 4 and 9 with no p^2 | disc
+    # test first, and walks only the p >= 5 with p^2 | disc; both rest
+    # on this, checked over a box that includes a = 0 (the root at
+    # infinity) and every residue mod 4, 9, 25 and 49
+    box = range(-7, 8)
+    hits = Counter()
+    for a, b, c, d in itertools.product(range(0, 8), box, box, box):
+        disc = cubic_disc(CubicForm(a, b, c, d))
+        for p in (2, 3, 5, 7):
+            if cubicforms._nonmax_at(a, b, c, d, p):
+                assert disc % (p * p) == 0, (a, b, c, d, p)
+                hits[p] += 1
+    assert all(hits[p] > 100 for p in (2, 3, 5, 7)), hits
+
+
+def _parent_has_rational_root(a, b, c, d):
+    # the divisor search for a root p/q, p | d and q | a, with no sieve
+    if d == 0:
+        return True
+    dd = [k for k in range(1, abs(d) + 1) if d % k == 0]
+    for q in [k for k in range(1, abs(a) + 1) if a % k == 0]:
+        for p in dd:
+            if math.gcd(p, q) != 1:
+                continue
+            if a * p**3 + b * p * p * q + c * p * q * q + d * q**3 == 0:
+                return True
+            if -a * p**3 + b * p * p * q - c * p * q * q + d * q**3 == 0:
+                return True
+    return False
+
+
+def _parent_nonmax_at(a, b, c, d, p):
+    pp = p * p
+    for r in range(p):
+        fr = ((a * r + b) * r + c) * r + d
+        if fr % p == 0 and ((3 * a * r + 2 * b) * r + c) % p == 0 and fr % pp == 0:
+            return True
+    return a % p == 0 and b % p == 0 and a % pp == 0
+
+
+def _parent_verdict(a, b, c, d):
+    # the route the walks took before the tests were reordered: the root
+    # test, then primitivity and non-maximality at every p with p^2 | disc
+    # read off factorize
+    if _parent_has_rational_root(a, b, c, d):
+        return False
+    if math.gcd(a, b, c, d) != 1:
+        return False
+    disc = cubic_disc(CubicForm(a, b, c, d))
+    square_primes = [p for p, e in arith.factorize(abs(disc)).factors if e >= 2]
+    return not any(_parent_nonmax_at(a, b, c, d, p) for p in square_primes)
+
+
+def _seeded_forms():
+    # (kind, form) with 1 <= a and 0 < |disc| <= 10^6
+    rng = random.Random(20161019)
+
+    def coeff(bound):
+        return rng.randint(-bound, bound)
+
+    for _ in range(1500):
+        yield "random", (rng.randint(1, 12), coeff(30), coeff(30), coeff(30))
+    for _ in range(300):
+        k = rng.choice((2, 3, 5, 6))
+        a, b, c, d = rng.randint(1, 4), coeff(8), coeff(8), coeff(8)
+        yield "non-primitive", (k * a, k * b, k * c, k * d)
+    for p in (2, 3, 5, 7):
+        for _ in range(150):
+            # a double root at r = 0 mod p that may or may not lift
+            a, b = rng.randint(1, 12), coeff(20)
+            yield "double root mod p", (a, b, p * coeff(6), p * coeff(6))
+    for _ in range(300):
+        q, g = rng.randint(1, 6), rng.randint(1, 6)
+        p, h, e = coeff(6), coeff(6), coeff(6)
+        yield "reducible", (q * g, q * h - p * g, q * e - p * h, -p * e)
+    for _ in range(300):
+        yield "b = c = 0 mod 3", (rng.randint(1, 12), 3 * coeff(8), 3 * coeff(8), coeff(40))
+
+
+def test_field_verdict_matches_the_parent_route():
+    # the walks' per-form verdict, over the shared sieve as the walks read
+    # it (and at modulus 27 with |disc| // 27), equals the root test then
+    # the maximality test over factorize
+    spf = arith.smallest_prime_factors(10**6)
+    verdicts: dict = {}
+    for kind, (a, b, c, d) in _seeded_forms():
+        disc = abs(cubic_disc(CubicForm(a, b, c, d)))
+        if not 0 < disc <= 10**6:
+            continue
+        rows = cubicforms._rows(a, b, c)
+        expected = _parent_verdict(a, b, c, d)
+        assert cubicforms._is_field(a, b, c, d, rows, disc, spf) == expected, (a, b, c, d)
+        if disc % 27 == 0:
+            got = cubicforms._is_field(a, b, c, d, rows, disc // 27, spf)
+            assert got == expected, (a, b, c, d)
+        verdicts.setdefault(kind, Counter())[expected] += 1
+        for p in (2, 3, 5, 7):
+            if disc % (p * p) == 0:
+                verdicts.setdefault(f"p^2 | disc, p = {p}", Counter())[expected] += 1
+    # every kind is met, and each kind that can give a field gives both
+    # verdicts
+    assert len(verdicts) == 9, sorted(verdicts)
+    for kind, seen in verdicts.items():
+        if kind in ("non-primitive", "reducible"):
+            assert list(seen) == [False], (kind, seen)
+        else:
+            assert seen[True] > 0 and seen[False] > 0, (kind, seen)
 
 
 def test_is_maximal_against_round_two():
@@ -292,6 +436,81 @@ def test_d_ranges_match_brute_force():
     assert pieces_seen == {0, 1, 2}
 
 
+def _hessian_reduced_on_the_walked_side(a, b, c, d):
+    # the real walk's defining tests: |Q| <= P <= R with P > 0, and b < 0
+    # or b = 0 and d <= 0
+    P = b * b - 3 * a * c
+    Q = b * c - 9 * a * d
+    R = c * c - 3 * b * d
+    return 0 < P and abs(Q) <= P <= R and (b < 0 or (b == 0 and d <= 0))
+
+
+def test_real_d_ranges_match_brute_force():
+    pieces_seen = set()
+    span = range(-100, 101)
+    for a in range(1, 5):
+        for b in range(-8, 1):
+            for c in range(-14, 7):
+                if b * b - 3 * a * c <= 0:
+                    continue
+                discs = [
+                    (d, cubic_disc(CubicForm(a, b, c, d)))
+                    for d in span
+                    if _hessian_reduced_on_the_walked_side(a, b, c, d)
+                ]
+                # a reduced Hessian makes the discriminant positive
+                assert all(disc >= 1 for _, disc in discs)
+                # each discriminant met is a bound too, so disc = xmax is tried
+                bounds = {1, 50, 300, 1000, 20000, *(disc for _, disc in discs)}
+                for xmax in sorted(bounds):
+                    brute = [d for d, disc in discs if disc <= xmax]
+                    ranges = cubicforms._real_d_ranges(a, b, c, xmax)
+                    pieces_seen.add(len(ranges))
+                    ends = [end for lo_hi in ranges for end in lo_hi]
+                    # disjoint, ascending, each nonempty, inside the span
+                    assert all(u < v for u, v in zip(ends[1::2], ends[2::2]))
+                    assert all(lo <= hi for lo, hi in ranges)
+                    assert all(span[0] < end < span[-1] for end in ends)
+                    found = [d for lo, hi in ranges for d in range(lo, hi + 1)]
+                    assert found == brute, (a, b, c, xmax)
+    assert pieces_seen == {0, 1, 2}
+
+
+def test_complex_walk_skips_only_triples_without_a_d(monkeypatch):
+    # the (b, c) that the window u (u + b) bound alone would walk, less
+    # those the walk visits, all get no d: the disc bound on g(t) cuts
+    # only empty triples, here 2,310 of the 4,161
+    xmax = 30000
+    visited = set()
+    d_ranges = cubicforms._d_ranges
+
+    def recording(a, b, c, x):
+        visited.add((a, b, c))
+        return d_ranges(a, b, c, x)
+
+    monkeypatch.setattr(cubicforms, "_d_ranges", recording)
+    walk: Counter = Counter()
+    for a in range(1, cubicforms._complex_amax(xmax) + 1):
+        walk.update(cubicforms._complex_walk(xmax, a, 1))
+    monkeypatch.undo()
+    umax = math.isqrt(math.isqrt(4 * xmax // 3)) + 1
+    window = []
+    for a in range(1, cubicforms._complex_amax(xmax) + 1):
+        for b in range(-a - umax, 1):
+            u = min(a - b, umax)
+            c = (a * a - max(a * (a + b), u * (u + b))) // a + 1
+            m = -b * b if -b < 2 * a else 4 * a * (a + b)
+            while (4 * a * c + m - a * a) ** 3 <= 16 * a * a * xmax:
+                window.append((a, b, c))
+                c += 1
+    assert visited <= set(window)
+    skipped = [t for t in window if t not in visited]
+    assert (len(window), len(skipped)) == (4161, 2310)
+    assert all(d_ranges(a, b, c, xmax) == [] for a, b, c in skipped)
+    full = enumerate_cubic_fields(xmax)
+    assert walk == Counter({d: n for d, n in full.items() if d < 0})
+
+
 @pytest.mark.parametrize("modulus", [1, 27])
 def test_complex_walk_matches_a_window_free_reference(modulus):
     # every form in a box, checked only against the defining tests of the
@@ -333,6 +552,17 @@ def test_enumeration_regression_at_30000():
     digest = hashlib.sha256(repr(sorted(items)).encode()).hexdigest()
     assert digest == "e16489830e31a5ec0eabccb231d5a6704daabb69a0d39835b6beedcd3b7521de"
     assert enumerate_cubic_fields(30000, workers=2) == tab
+
+
+def test_modulus_27_regression_at_81000():
+    # recorded before the per-form tests were reordered
+    tab = enumerate_cubic_fields(81000, modulus=27)
+    items = list(tab.items())
+    assert sum(n for d, n in items if d > 0) == sum(tab.pos) == 341
+    assert sum(n for d, n in items if d < 0) == sum(tab.neg) == 1130
+    assert len(items) == 1153
+    digest = hashlib.sha256(repr(sorted(items)).encode()).hexdigest()
+    assert digest == "e0aaaeeb4dab70a3dd78fdda2a1b359fd5dd3d582ddca198e62f94b089c1daf6"
 
 
 def test_totally_ramified_forms_have_b_and_c_divisible_by_3():
