@@ -7,96 +7,64 @@ odd primes ell >= 5 the predicted discriminants and counts of the
 degree-ell fields, which can be reconciled against external field tables.
 """
 
-from .arith import (
-    Factorization,
-    factorize,
-    fundamental_discriminants_in,
-    is_fundamental_discriminant,
-    is_prime,
-    smallest_primitive_root,
-)
-from .quadforms import (
-    ClassGroupStructure,
-    QuadForm,
-    class_group,
-    compose,
-    ell_rank,
-    form_discriminant,
-    is_equivalent,
-    reduce,
-)
-from .cubicforms import (
-    CubicForm,
-    CubicTabulation,
-    count_N3,
-    cubic_disc,
-    enumerate_cubic_fields,
-    is_irreducible,
-    is_maximal,
-)
-from .reflection import (
-    Corollary5Report,
-    FieldDiscriminant,
-    OnVerification,
-    PredictionRecord,
-    admissible_conductor_exponents,
-    classify_mirror,
-    corollary5_predict,
-    count_Dl,
-    dl_disc,
-    fl_disc_from_conductor,
-    mirror_disc,
-    predict,
-    target_discs,
-    verify_on3,
-)
-from .fieldtables import (
-    FieldTableEntry,
-    TableComparison,
-    compare_with_table,
-    parse_field_table,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Factorization",
-    "factorize",
-    "fundamental_discriminants_in",
-    "is_fundamental_discriminant",
-    "is_prime",
-    "smallest_primitive_root",
-    "QuadForm",
-    "ClassGroupStructure",
-    "form_discriminant",
-    "reduce",
-    "compose",
-    "is_equivalent",
-    "class_group",
-    "ell_rank",
-    "CubicForm",
-    "CubicTabulation",
-    "cubic_disc",
-    "is_irreducible",
-    "is_maximal",
-    "enumerate_cubic_fields",
-    "count_N3",
-    "FieldDiscriminant",
-    "PredictionRecord",
-    "OnVerification",
-    "Corollary5Report",
-    "mirror_disc",
-    "classify_mirror",
-    "dl_disc",
-    "count_Dl",
-    "admissible_conductor_exponents",
-    "fl_disc_from_conductor",
-    "target_discs",
-    "predict",
-    "verify_on3",
-    "corollary5_predict",
-    "FieldTableEntry",
-    "TableComparison",
-    "parse_field_table",
-    "compare_with_table",
-]
+# where each public name lives; a module is imported on first access to
+# one of its names, so importing the package, or one module of it, loads
+# nothing else
+_MODULES = {
+    "Factorization": "arith",
+    "factorize": "arith",
+    "fundamental_discriminants_in": "arith",
+    "is_fundamental_discriminant": "arith",
+    "is_prime": "arith",
+    "smallest_primitive_root": "arith",
+    "QuadForm": "quadforms",
+    "ClassGroupStructure": "quadforms",
+    "form_discriminant": "quadforms",
+    "reduce": "quadforms",
+    "compose": "quadforms",
+    "is_equivalent": "quadforms",
+    "class_group": "quadforms",
+    "class_groups": "quadforms",
+    "ell_rank": "quadforms",
+    "CubicForm": "cubicforms",
+    "CubicTabulation": "cubicforms",
+    "cubic_disc": "cubicforms",
+    "is_irreducible": "cubicforms",
+    "is_maximal": "cubicforms",
+    "enumerate_cubic_fields": "cubicforms",
+    "count_N3": "cubicforms",
+    "FieldDiscriminant": "reflection",
+    "PredictionRecord": "reflection",
+    "OnVerification": "reflection",
+    "Corollary5Report": "reflection",
+    "mirror_disc": "reflection",
+    "classify_mirror": "reflection",
+    "dl_disc": "reflection",
+    "count_Dl": "reflection",
+    "admissible_conductor_exponents": "reflection",
+    "fl_disc_from_conductor": "reflection",
+    "target_discs": "reflection",
+    "predict": "reflection",
+    "verify_on3": "reflection",
+    "corollary5_predict": "reflection",
+    "FieldTableEntry": "fieldtables",
+    "TableComparison": "fieldtables",
+    "parse_field_table": "fieldtables",
+    "compare_with_table": "fieldtables",
+}
+
+__all__ = list(_MODULES)
+
+
+def __getattr__(name: str):
+    module = _MODULES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    # bound once, so later lookups do not come back here
+    globals()[name] = value
+    return value

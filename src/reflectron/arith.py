@@ -203,6 +203,23 @@ def squarefree(n: int) -> bool:
     return True
 
 
+def distinct_prime_factors(n: int) -> int:
+    """The number of distinct primes dividing the nonzero integer n,
+    walked off the shared sieve table as squarefree walks it when the
+    table covers |n|, and counted from factorize past it."""
+    n = abs(n)
+    if n >= len(_spf):
+        return len(factorize(n).factors)
+    spf = _spf
+    count, last = 0, 1
+    while n > 1:
+        p = spf[n]
+        count += p != last
+        last = p
+        n //= p
+    return count
+
+
 def is_fundamental_discriminant(d: int) -> bool:
     """True for discriminants of quadratic fields, plus 1 by convention.
 

@@ -16,11 +16,9 @@ import sys
 from dataclasses import dataclass, replace
 from itertools import chain, islice
 
+# each runner imports the layers it uses when it starts, so a command
+# compiles and loads only those
 from .arith import is_fundamental_discriminant, smallest_prime_factors
-from .cubicforms import enumerate_cubic_fields
-from .fieldtables import compare_with_table, parse_field_table
-from .quadforms import class_group
-from .reflection import Corollary5Report, corollary5_predict, predict, verify_on3
 
 # far above any core count the enumeration can use; a larger value is a
 # typo, and each worker is a process with its own sieve
@@ -219,19 +217,27 @@ def _scope(config: RunConfig, *exclude: int):
 
 
 def _run_classgroup(config: RunConfig):
-    for d in _scope(config):
-        grp = class_group(d)
+    from .quadforms import class_group, class_groups
+
+    groups = class_groups(config.dmax) if config.d is None else [class_group(config.d)]
+    for grp in groups:
         divisors = "x".join(str(n) for n in grp.elementary_divisors) or "1"
+        d = grp.discriminant
         yield {"D": d, "h": grp.order, "divisors": divisors, "narrow": grp.narrow}
 
 
 def _run_cubic_tab(config: RunConfig):
+    from .cubicforms import enumerate_cubic_fields
+
     tab = enumerate_cubic_fields(config.xmax, workers=config.workers)
     for disc, count in tab.items():
         yield {"disc": disc, "count": count}
 
 
 def _run_verify_on(config: RunConfig):
+    from .cubicforms import enumerate_cubic_fields
+    from .reflection import verify_on3
+
     # |D*| <= 3 |D| and |D| <= dmax, so only -27 D lies past 3 dmax, and
     # the fields with 27 | disc are the ones the modulus-27 walk finds
     low = enumerate_cubic_fields(3 * config.dmax, workers=config.workers)
@@ -249,6 +255,8 @@ def _run_verify_on(config: RunConfig):
 
 
 def _predictions(config: RunConfig):
+    from .reflection import corollary5_predict, predict
+
     if config.corollary5:
         if config.d is None:
             # each d also reads the class group of 5 d: a sieve that
@@ -264,6 +272,8 @@ def _predictions(config: RunConfig):
 
 
 def _run_predict(config: RunConfig):
+    from .reflection import Corollary5Report
+
     for pred in _predictions(config):
         targets = [{"r2": fd.r2, "disc": fd.signed_value()} for fd in pred.targets]
         if isinstance(pred, Corollary5Report):
@@ -285,6 +295,8 @@ def _run_predict(config: RunConfig):
 
 
 def _run_check_table(config: RunConfig):
+    from .fieldtables import compare_with_table, parse_field_table
+
     with open(config.table, newline="") as handle:
         entries = parse_field_table(handle)
     bound = config.assume_complete_below

@@ -25,10 +25,13 @@ are terms of one AND, so their order cannot change a verdict:
 primitivity (one gcd), non-maximality at 2 and 3 (one lookup each in
 tables mod 4 and 9), non-maximality at each p >= 5 with p^2 | disc
 (read off the shared sieve), a root mod 2, 3, 5, 7 and 11 (one lookup
-each), and only then the divisor search for a rational root.  The
-tables are indexed by (a, b, c, d) mod m and built on first use; each
-(a, b, c) that gets a d slices every table once into a row indexed by
-d mod m.  Non-maximality at p implies p^2 | disc, so the tables mod 4
+each), and only then the divisor search for a rational root, which
+runs only when disc is a fundamental discriminant: a reducible form
+that is primitive and maximal has the ring Z x O_K or Z^3, so its disc
+is d_K or 1, and a form past the root tests whose disc is neither is
+irreducible.  The tables are indexed by (a, b, c, d) mod m and built
+on first use; each (a, b, c) that gets a d slices every table once into
+a row indexed by d mod m.  Non-maximality at p implies p^2 | disc, so the tables mod 4
 and 9 need no divisibility test first.  is_irreducible and is_maximal
 go through the same per-form test.
 
@@ -57,7 +60,12 @@ from math import gcd, isqrt
 from operator import or_
 from types import MappingProxyType
 
-from .arith import _SIEVE_CEILING, factorize, smallest_prime_factors
+from .arith import (
+    _SIEVE_CEILING,
+    factorize,
+    is_fundamental_discriminant,
+    smallest_prime_factors,
+)
 
 _SIGNS = (-1, 0, 1)
 # modulus -> step of the b and c walks
@@ -196,10 +204,21 @@ def _nonmax_at(a: int, b: int, c: int, d: int, p: int) -> bool:
 
 
 def _nonmax_table(p: int) -> bytes:
-    # _nonmax_at reads the coefficients only mod p^2
+    # _nonmax_at over (a, b, c, d) mod p^2, which is all it reads: every
+    # d when a = 0 (mod p^2) and b = 0 (mod p), and otherwise
+    # d = -(a r^3 + b r^2 + c r) (mod p^2) for each r mod p with
+    # f'(r) = 0 (mod p)
     m = p * p
-    residues = product(range(m), repeat=4)
-    return bytes(_nonmax_at(a, b, c, d, p) for a, b, c, d in residues)
+    table = bytearray(m**4)
+    for a, b, c in product(range(m), repeat=3):
+        base = ((a * m + b) * m + c) * m
+        if a == 0 and b % p == 0:
+            table[base : base + m] = b"\x01" * m
+            continue
+        for r in range(p):
+            if ((3 * a * r + 2 * b) * r + c) % p == 0:
+                table[base + -(((a * r + b) * r + c) * r) % m] = 1
+    return bytes(table)
 
 
 def _rows(a: int, b: int, c: int) -> tuple:
@@ -235,22 +254,26 @@ def _has_rational_root(a: int, b: int, c: int, d: int) -> bool:
     return False
 
 
-def _is_field(a: int, b: int, c: int, d: int, rows: tuple, n: int, spf) -> bool:
+def _is_field(
+    a: int, b: int, c: int, d: int, rows: tuple, disc: int, modulus: int, spf
+) -> bool:
     # True when the form is primitive, maximal and irreducible.  rows is
-    # _rows(a, b, c); n is |disc| with any number of its factors 3
-    # removed; spf[m] is the least prime factor of each m > 1 that n
-    # leaves when its factors 2 and 3, then its least primes, are
-    # divided out (a sieve table that covers n, say).  The tests run
-    # cheapest first, and each is one term of an AND, so the order
-    # cannot change the verdict.  Non-maximality at p implies p^2 | disc
-    # (move the double root to 0: then p | c and p^2 | d, or p^2 | a and
-    # p | b at infinity, and every term of disc has a factor p^2), so
-    # the tables mod 4 and 9 need no divisibility test first
+    # _rows(a, b, c); disc is the form's discriminant, which modulus
+    # (1 or 27) divides; spf[m] is the least prime factor of each m > 1
+    # that n = |disc| // modulus leaves when its factors 2 and 3, then
+    # its least primes, are divided out (a sieve table that covers n,
+    # say).  The tests run cheapest first, and each is one term of an
+    # AND, so the order cannot change the verdict.  Non-maximality at p
+    # implies p^2 | disc (move the double root to 0: then p | c and
+    # p^2 | d, or p^2 | a and p | b at infinity, and every term of disc
+    # has a factor p^2), so the tables mod 4 and 9 need no divisibility
+    # test first
     g, m4, m9, r2, r3, r5, r7, r11 = rows
     if g != 1 and gcd(g, d) != 1:
         return False
     if m4[d & 3] or m9[d % 9]:
         return False
+    n = abs(disc) // modulus
     n //= n & -n
     while n % 3 == 0:
         n //= 3
@@ -266,6 +289,10 @@ def _is_field(a: int, b: int, c: int, d: int, rows: tuple, n: int, spf) -> bool:
     # prime, so one prime without a root settles the question
     if not (r2[d & 1] and r3[d % 3] and r5[d % 5] and r7[d % 7] and r11[d % 11]):
         return True
+    # a reducible primitive maximal form has the ring Z x O_K or Z^3,
+    # so its disc is a fundamental discriminant or 1; 27 | disc is neither
+    if modulus != 1 or not is_fundamental_discriminant(disc):
+        return True
     return not _has_rational_root(a, b, c, d)
 
 
@@ -275,9 +302,11 @@ def is_irreducible(f: CubicForm) -> bool:
     a, b, c, d = f.a, f.b, f.c, f.d
     if a == 0:
         return False
-    # with content 1, no non-maximality and n = 1 only the root tests run
+    # with content 1, no non-maximality and disc = 1, which could be the
+    # disc of a reducible maximal form, only the root tests and the
+    # divisor search run
     _, _, _, *roots = _rows(a, b, c)
-    return _is_field(a, b, c, d, (1, bytes(4), bytes(9), *roots), 1, None)
+    return _is_field(a, b, c, d, (1, bytes(4), bytes(9), *roots), 1, 1, None)
 
 
 def is_maximal(f: CubicForm) -> bool:
@@ -288,13 +317,13 @@ def is_maximal(f: CubicForm) -> bool:
     a, b, c, d = f.a, f.b, f.c, f.d
     # the smallest prime factor of each cofactor _is_field meets, read
     # off one factorization in place of a sieve table
-    disc = abs(cubic_disc(f))
+    disc = cubic_disc(f)
     spf = {}
-    n = disc
+    n = abs(disc)
     for p, e in factorize(disc).factors:
         spf[n] = p
         n //= p**e
-    return _is_field(a, b, c, d, _rows(a, b, c), disc, spf)
+    return _is_field(a, b, c, d, _rows(a, b, c), disc, 1, spf)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +449,7 @@ def _real_walk(xmax: int, a: int, modulus: int) -> array:
                     Q = bc - na * d
                     # 4 P R - Q^2 >= 3 P^2 >= 3, so disc >= 1
                     disc = (4 * P * R - Q * Q) // 3
-                    if not _is_field(a, b, c, d, rows, disc // modulus, spf):
+                    if not _is_field(a, b, c, d, rows, disc, modulus, spf):
                         continue
                     # off the boundary |Q| = P or P = R the mirror is the
                     # only other orbit member with a > 0 and a reduced
@@ -517,7 +546,7 @@ def _complex_walk(xmax: int, a: int, modulus: int) -> array:
                         - 4 * b**3 * d
                         - 27 * a * a * d * d
                     )
-                    if _is_field(a, b, c, d, rows, -disc // modulus, spf):
+                    if _is_field(a, b, c, d, rows, disc, modulus, spf):
                         found.append(disc)
             c += step
     return found

@@ -11,10 +11,23 @@ class group; its odd part agrees with the odd part of the ordinary
 class group, which is all the reflection machinery upstream ever
 consumes.
 
+A class group starts from the reduced forms of its discriminant, and
+one walk finds them for a whole window of discriminants at once: over
+the reduced triples (a, b, c) with |disc| in the window, where at fixed
+(a, b) the discriminants step by 4a as c grows, bucketed by
+discriminant through a mask of the wanted ones.  class_groups walks
+windows of about 2 sqrt(|d|) discriminants each, which costs
+O(dmax^(3/2)) for the whole range and holds the forms of one window at
+a time; class_group and ell_rank walk a window of one discriminant,
+O(|d|).
+
 Group structure comes from the class number h where h decides it: a
 prime q with q || h gives the q-part Z/q, since a group of order q is
 cyclic, so the ell-rank is 0 when ell does not divide h and 1 when
-ell || h.  Only a prime q with q^2 | h needs q^k-torsion counted.  For
+ell || h.  For q = 2 genus theory gives the number of parts, omega(d) - 1
+with omega(d) the number of primes dividing d, read off the shared
+sieve, and that decides the 2-part when it is 1 or at least v_2(h) - 1.
+Otherwise a prime q with q^2 | h needs q^k-torsion counted.  For
 each such q one table x -> x^q over the representatives is built, and
 x^(q^k) is that table applied k times.  The class of (a, -b, c) is the
 inverse of the class of (a, b, c), and x^q is the identity exactly when
@@ -25,10 +38,23 @@ away for D < 0 and one lookup of (c, b, a) for D > 0.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import compress
 from math import isqrt
 
-from .arith import factorize, is_fundamental_discriminant, is_prime
+from .arith import (
+    distinct_prime_factors,
+    factorize,
+    fundamental_discriminants_in,
+    is_fundamental_discriminant,
+    is_prime,
+    smallest_prime_factors,
+)
+
+# a window of class_groups spans this many times sqrt(lo) values of |d|:
+# wider windows walk fewer (a, b) pairs in all, and hold more forms
+_WINDOW = 2
 
 
 @dataclass(frozen=True)
@@ -208,51 +234,84 @@ def _principal(d: int) -> tuple[int, int, int]:
     return 1, b, (b * b - d) // 4
 
 
-def _reduced_forms_def(d: int) -> list[tuple[int, int, int]]:
-    # b must match d in parity for c to come out integral
-    out = []
-    for a in range(1, isqrt(-d // 3) + 1):
-        for b in range(-a + 1 + (a + 1 + d) % 2, a + 1, 2):
-            num = b * b - d
-            if num % (4 * a):
+def _definite_forms(lo: int, hi: int, mask: bytes) -> list:
+    # the reduced forms -a < b <= a <= c (b >= 0 when a = c) of each
+    # discriminant -N with lo <= N <= hi and mask[N - lo] set, at index
+    # N - lo.  N = 4ac - b^2 >= 3a^2 bounds a; (a, -b, c) is reduced with
+    # (a, b, c) unless b = 0, b = a or a = c, so only b >= 0 is walked;
+    # N = b mod 2, so one N fixes the parity of b; and at fixed (a, b)
+    # the N step by 4a as c grows, a stride of the mask that compress
+    # reads in C
+    buckets = [[] if m else None for m in mask]
+    width = hi - lo
+    first, step = (0, 1) if width else (lo % 2, 2)
+    for a in range(1, isqrt(hi // 3) + 1):
+        a4 = 4 * a
+        for b in range(first, a + 1, step):
+            bb = b * b
+            # some multiple 4ac of 4a lies in [lo + b^2, hi + b^2]
+            if (hi + bb) % a4 > width:
                 continue
-            c = num // (4 * a)
-            if c < a:
-                continue
-            if a == c and b < 0:
-                continue
-            out.append((a, b, c))
-    return out
+            c0 = max(a, (lo + bb + a4 - 1) // a4)
+            c1 = (hi + bb) // a4
+            i = a4 * c0 - bb - lo
+            for c in compress(range(c0, c1 + 1), mask[i : a4 * c1 - bb - lo + 1 : a4]):
+                bucket = buckets[a4 * c - bb - lo]
+                bucket.append((a, b, c))
+                if 0 < b < a < c:
+                    bucket.append((a, -b, c))
+    return buckets
 
 
-def _reduced_forms_indef(d: int) -> list[tuple[int, int, int]]:
-    # b must match d in parity for c to come out integral
-    out = []
-    for b in range(2 - d % 2, isqrt(d) + 1, 2):
-        n = (d - b * b) // 4
-        for e in range(1, isqrt(n) + 1):
-            if n % e:
+def _indefinite_forms(lo: int, hi: int, mask: bytes) -> list:
+    # the reduced forms with a > 0 of each discriminant D with
+    # lo <= D <= hi and mask[D - lo] set, at index D - lo; ac < 0, so the
+    # sign of a alternates along a reduction cycle, and they meet every
+    # cycle.  With a, n > 0 and D = b^2 + 4an they are (a, b, -n) and
+    # (n, b, -a) when |sqrt(D) - 2a| < b, that is |a - n| < b, which is
+    # symmetric in a and n (b < sqrt(D) holds always), so only a <= n is
+    # walked.  D = b mod 2, so one D fixes the parity of b; a runs from
+    # the least value with 4a (a + b - 1) >= lo - b^2 to the greatest
+    # with 4a^2 <= hi - b^2, and at fixed (a, b) the D step by 4a as n
+    # grows
+    buckets = [[] if m else None for m in mask]
+    width = hi - lo
+    first, step = (1, 1) if width else (2 - lo % 2, 2)
+    for b in range(first, isqrt(hi - 1) + 1, step):
+        bb = b * b
+        low, high = lo - bb, hi - bb
+        s = isqrt(max(low + (b - 1) ** 2 - 1, 0)) + 1
+        for a in range(max(1, (s - b + 2) // 2), isqrt(high // 4) + 1):
+            a4 = 4 * a
+            # some multiple 4an of 4a lies in [lo - b^2, hi - b^2]
+            if high % a4 > width:
                 continue
-            for aa in {e, n // e}:
-                if (2 * aa - b) ** 2 < d < (2 * aa + b) ** 2:
-                    out.append((aa, b, -(n // aa)))
-                    out.append((-aa, b, n // aa))
-    return out
+            n0 = max(a, (low + a4 - 1) // a4)
+            n1 = min(a + b - 1, high // a4)
+            i = a4 * n0 - low
+            for n in compress(range(n0, n1 + 1), mask[i : a4 * n1 - low + 1 : a4]):
+                bucket = buckets[a4 * n - low]
+                bucket.append((a, b, -n))
+                if n != a:
+                    bucket.append((n, b, -a))
+    return buckets
 
 
 class _Group:
-    """Class representatives under composition; negative-discriminant
-    representatives are the reduced forms, positive-discriminant ones the
-    lexicographic minimum of each reduction cycle, found by lookup in a
-    table from every reduced form to its cycle's minimum."""
+    """Class representatives under composition, built from reduced forms
+    of d: for d < 0 every reduced form, and these are the
+    representatives; for d > 0 at least one form of each reduction
+    cycle, and the representatives are the lexicographic minimum of each
+    cycle, found by lookup in a table from every reduced form to its
+    cycle's minimum."""
 
-    def __init__(self, d: int):
+    def __init__(self, d: int, forms: list[tuple[int, int, int]]):
         self.d = d
         if d < 0:
-            self.reps = sorted(_reduced_forms_def(d))
+            self.reps = sorted(forms)
         else:
             self.cls: dict[tuple[int, int, int], tuple[int, int, int]] = {}
-            for f in _reduced_forms_indef(d):
+            for f in forms:
                 if f in self.cls:
                     continue
                 cyc = _cycle(*f, d)
@@ -304,10 +363,28 @@ class _Group:
             f = self.mul(f, f)
 
 
+def _groups(lo: int, hi: int, discs: list[int]) -> Iterator[_Group]:
+    # the groups of discs, fundamental discriminants with lo <= |d| <= hi
+    # in (|d|, d) order, from one walk of the reduced forms per sign
+    # present; each group's forms are dropped once it is built
+    buckets = {}
+    for negative, walk in ((True, _definite_forms), (False, _indefinite_forms)):
+        mask = bytearray(hi - lo + 1)
+        for d in discs:
+            if (d < 0) == negative:
+                mask[abs(d) - lo] = 1
+        if any(mask):
+            buckets[negative] = walk(lo, hi, mask)
+    for d in discs:
+        bucket = buckets[d < 0]
+        forms, bucket[abs(d) - lo] = bucket[abs(d) - lo], None
+        yield _Group(d, forms)
+
+
 def _group_for(d: int) -> _Group:
     if d == 1 or not is_fundamental_discriminant(d):
         raise ValueError(f"{d} is not a fundamental discriminant distinct from 1")
-    return _Group(d)
+    return next(_groups(abs(d), abs(d), [d]))
 
 
 def _log_int(n: int, q: int) -> int:
@@ -321,16 +398,30 @@ def _log_int(n: int, q: int) -> int:
 def _q_parts(grp: _Group, q: int) -> list[int]:
     """The partition of the q-part of the class group, ascending:
     [] when q does not divide h, [1] when q || h (a group of prime order
-    is cyclic), and otherwise read off q^k-torsion counts from one table
-    x -> x^q (see _Group.power_table), applied k times."""
+    is cyclic), the partition genus theory forces for q = 2, and
+    otherwise the one _torsion_parts counts."""
     rest, e = len(grp.reps), 0
     while rest % q == 0:
         rest //= q
         e += 1
     if e < 2:
         return [1] * e
-    # counting q^k-torsion pins down the partition of the q-part:
-    # m_k = log_q #{x : x^(q^k) = id} and m_k - m_(k-1) counts parts >= k
+    if q == 2:
+        # genus theory: the 2-part of the narrow class group of a
+        # fundamental d has omega(d) - 1 parts, omega counting the primes
+        # dividing d, and e splits into r parts in one way only when r is
+        # 1 or at least e - 1
+        r = distinct_prime_factors(grp.d) - 1
+        if r == 1 or r >= e - 1:
+            return [1] * (r - 1) + [e - r + 1]
+    return _torsion_parts(grp, q, e)
+
+
+def _torsion_parts(grp: _Group, q: int, e: int) -> list[int]:
+    # the partition of a q-part of order q^e, e >= 2, read off
+    # q^k-torsion counts from one table x -> x^q (see _Group.power_table),
+    # applied k times: m_k = log_q #{x : x^(q^k) = id} and m_k - m_(k-1)
+    # counts the parts >= k
     table = grp.power_table(q)
     # after k steps: x^(q^k) for every x whose power is not yet the identity
     live = grp.reps
@@ -348,14 +439,10 @@ def _q_parts(grp: _Group, q: int) -> list[int]:
     return sorted(sum(1 for r in ranks if r >= i) for i in range(1, ranks[0] + 1))
 
 
-def class_group(d: int) -> ClassGroupStructure:
-    """Group structure for fundamental discriminant d, as a chain of
-    elementary divisors d1 | d2 | ... (narrow class group when d > 0).
-
-    Each prime q | h contributes the partition of its q-part (see
-    _q_parts): no composition when q || h, and one power table when
-    q^2 | h, so no power is computed twice."""
-    grp = _group_for(d)
+def _structure(grp: _Group) -> ClassGroupStructure:
+    # each prime q | h contributes the partition of its q-part (see
+    # _q_parts): no composition when q || h or genus theory settles
+    # q = 2, and one power table otherwise, so no power is computed twice
     h = len(grp.reps)
     primes = [q for q, _ in factorize(h).factors] if h > 1 else []
     parts_per_prime = {q: _q_parts(grp, q) for q in primes}
@@ -367,7 +454,39 @@ def class_group(d: int) -> ClassGroupStructure:
             padded = [0] * (width - len(parts)) + parts
             dd *= q ** padded[i]
         divisors.append(dd)
-    return ClassGroupStructure(d, tuple(divisors), narrow=d > 0)
+    return ClassGroupStructure(grp.d, tuple(divisors), narrow=grp.d > 0)
+
+
+def class_group(d: int) -> ClassGroupStructure:
+    """Group structure for fundamental discriminant d, as a chain of
+    elementary divisors d1 | d2 | ... (narrow class group when d > 0).
+
+    The reduced forms come from the walk class_groups makes, over a
+    window of the one discriminant |d|, which costs O(|d|)."""
+    return _structure(_group_for(d))
+
+
+def class_groups(dmax: int) -> Iterator[ClassGroupStructure]:
+    """class_group(d) for every fundamental d with 1 < |d| <= dmax, in
+    (|d|, d) order.
+
+    The shared sieve table is sized to dmax first, so a dmax past its
+    ceiling raises ValueError before anything is walked.  Then one walk
+    per sign finds the reduced forms of every discriminant in a window
+    of |d|, and buckets those of the fundamental ones, which
+    fundamental_discriminants_in lists.  A window [lo, hi] spans about
+    _WINDOW sqrt(lo) values of |d|, so both walks visit O(hi) pairs
+    (a, b) per window and O(dmax^(3/2)) in all, and a window holds the
+    forms of O(sqrt(lo)) discriminants at a time."""
+    smallest_prime_factors(dmax)
+    lo = 2
+    while lo <= dmax:
+        hi = min(dmax, lo + _WINDOW * isqrt(lo))
+        neg = fundamental_discriminants_in(-hi, -lo)
+        discs = sorted(neg[::-1] + fundamental_discriminants_in(lo, hi), key=abs)
+        for grp in _groups(lo, hi, discs):
+            yield _structure(grp)
+        lo = hi + 1
 
 
 def ell_rank(d: int, ell: int) -> int:

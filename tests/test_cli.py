@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from reflectron import arith, cli
+from reflectron import arith, cli, cubicforms, reflection
 from reflectron.arith import fundamental_discriminants_in
 from reflectron.cli import RunConfig, emit_report, main, run
 from reflectron.cubicforms import count_N3, enumerate_cubic_fields
@@ -115,7 +115,7 @@ def test_cubic_tab_report_memory_is_bounded_by_its_bytes(monkeypatch, tmp_path):
     # ordering it and writing its report cost: a few bytes per report
     # byte, not one dict and one line string per row
     tab = enumerate_cubic_fields(30_000)
-    monkeypatch.setattr(cli, "enumerate_cubic_fields", lambda xmax, workers: tab)
+    monkeypatch.setattr(cubicforms, "enumerate_cubic_fields", lambda xmax, workers: tab)
     path = tmp_path / "report.csv"
     config = RunConfig(command="cubic-tab", xmax=30_000, out=str(path))
     code, peak = _traced_peak_of_run(config)
@@ -133,7 +133,7 @@ def test_verify_on_report_memory_is_bounded_by_its_bytes(monkeypatch, tmp_path):
     low = enumerate_cubic_fields(3 * 30_000)
     high = enumerate_cubic_fields(27 * 30_000, modulus=27)
     monkeypatch.setattr(
-        cli,
+        cubicforms,
         "enumerate_cubic_fields",
         lambda xmax, workers, modulus=1: low if modulus == 1 else high,
     )
@@ -186,6 +186,44 @@ def test_single_process_commands_import_no_pool():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout == "[0, 0] []\n"
+
+
+def test_each_command_loads_only_the_layers_it_runs():
+    # a fresh interpreter, so no other test has loaded a layer
+    code = (
+        "import contextlib, io, sys\n"
+        "def layers():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('reflectron.'))\n"
+        "import reflectron.cli\n"
+        "print(layers())\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = reflectron.cli.main(['classgroup', '--dmax', '50'])\n"
+        "print(code, layers(), 'csv' in sys.modules)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == (
+        "['reflectron.arith', 'reflectron.cli']\n"
+        "0 ['reflectron.arith', 'reflectron.cli', 'reflectron.quadforms'] False\n"
+    )
+
+
+def test_every_public_name_resolves():
+    # the package binds its names on first access, from the module that
+    # defines each
+    import reflectron
+
+    for name in reflectron.__all__:
+        value = getattr(reflectron, name)
+        assert value.__module__ == f"reflectron.{reflectron._MODULES[name]}", name
+    assert len(set(reflectron.__all__)) == len(reflectron.__all__)
+    assert "class_groups" in reflectron.__all__
+    with pytest.raises(AttributeError):
+        reflectron.no_such_name
 
 
 @pytest.mark.parametrize(
@@ -278,7 +316,7 @@ def _verify_on3_failing_at(monkeypatch, position, outcome):
         calls.append(d)
         return outcome(report) if d == scope[position] else report
 
-    monkeypatch.setattr(cli, "verify_on3", fake)
+    monkeypatch.setattr(reflection, "verify_on3", fake)
     return scope, calls
 
 
@@ -676,7 +714,7 @@ def test_huge_worker_count_exits_1_before_any_work(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("enumeration started")
 
-    monkeypatch.setattr("reflectron.cli.enumerate_cubic_fields", refuse)
+    monkeypatch.setattr("reflectron.cubicforms.enumerate_cubic_fields", refuse)
     for argv, env in (
         (["cubic-tab", "--xmax", "100", "--workers", "257"], None),
         (["verify-on", "--dmax", "10", "--workers", str(10**12)], None),

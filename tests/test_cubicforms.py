@@ -285,14 +285,14 @@ def test_field_verdict_matches_the_parent_route():
     spf = arith.smallest_prime_factors(10**6)
     verdicts: dict = {}
     for kind, (a, b, c, d) in _seeded_forms():
-        disc = abs(cubic_disc(CubicForm(a, b, c, d)))
-        if not 0 < disc <= 10**6:
+        disc = cubic_disc(CubicForm(a, b, c, d))
+        if not 0 < abs(disc) <= 10**6:
             continue
         rows = cubicforms._rows(a, b, c)
         expected = _parent_verdict(a, b, c, d)
-        assert cubicforms._is_field(a, b, c, d, rows, disc, spf) == expected, (a, b, c, d)
+        assert cubicforms._is_field(a, b, c, d, rows, disc, 1, spf) == expected, (a, b, c, d)
         if disc % 27 == 0:
-            got = cubicforms._is_field(a, b, c, d, rows, disc // 27, spf)
+            got = cubicforms._is_field(a, b, c, d, rows, disc, 27, spf)
             assert got == expected, (a, b, c, d)
         verdicts.setdefault(kind, Counter())[expected] += 1
         for p in (2, 3, 5, 7):
@@ -306,6 +306,30 @@ def test_field_verdict_matches_the_parent_route():
             assert list(seen) == [False], (kind, seen)
         else:
             assert seen[True] > 0 and seen[False] > 0, (kind, seen)
+
+
+def test_maximal_reducible_forms_have_fundamental_discriminants():
+    # a primitive maximal form with a linear factor has the ring Z x O_K
+    # or Z^3, so its disc is a fundamental discriminant or 1: the reason
+    # the walks' per-form test runs the divisor search on those alone.
+    # The forms are x (r x^2 + s x y + t y^2) moved by two random shears,
+    # and maximality is read off factorize, not the per-form test
+    rng = random.Random(1019)
+    maximal = 0
+    for _ in range(1500):
+        r, s, t = rng.randint(-30, 30), rng.randint(-30, 30), rng.choice((-3, -1, 1, 2))
+        f = _transform(CubicForm(r, s, t, 0), 1, rng.randint(-5, 5), 0, 1)
+        f = _transform(f, 1, 0, rng.randint(-5, 5), 1)
+        a, b, c, d = f.a, f.b, f.c, f.d
+        disc = cubic_disc(f)
+        if disc == 0 or math.gcd(a, b, c, d) != 1:
+            continue
+        square_primes = [p for p, e in arith.factorize(disc).factors if e >= 2]
+        if any(_parent_nonmax_at(a, b, c, d, p) for p in square_primes):
+            continue
+        maximal += 1
+        assert arith.is_fundamental_discriminant(disc), (a, b, c, d, disc)
+    assert maximal > 400
 
 
 def test_is_maximal_against_round_two():

@@ -1,3 +1,4 @@
+import random
 from math import isqrt
 
 import pytest
@@ -9,6 +10,7 @@ from reflectron.quadforms import (
     QuadForm,
     _group_for,
     class_group,
+    class_groups,
     compose,
     ell_rank,
     form_discriminant,
@@ -42,6 +44,79 @@ def _reduced_forms(d):
             if ac % a == 0 and (2 * a - b) ** 2 < d < (2 * a + b) ** 2:
                 out += [(a, b, ac // a), (-a, b, -ac // a)]
     return out
+
+
+def _searched_forms(d):
+    # the per-discriminant search the window walk replaced: for d < 0
+    # every b in (-a, a] at each a, for d > 0 trial division of each
+    # (d - b^2) / 4
+    out = []
+    if d < 0:
+        for a in range(1, isqrt(-d // 3) + 1):
+            for b in range(-a + 1 + (a + 1 + d) % 2, a + 1, 2):
+                num = b * b - d
+                if num % (4 * a):
+                    continue
+                c = num // (4 * a)
+                if c < a or (a == c and b < 0):
+                    continue
+                out.append((a, b, c))
+        return out
+    for b in range(2 - d % 2, isqrt(d) + 1, 2):
+        n = (d - b * b) // 4
+        for e in range(1, isqrt(n) + 1):
+            if n % e:
+                continue
+            for aa in {e, n // e}:
+                if (2 * aa - b) ** 2 < d < (2 * aa + b) ** 2:
+                    out.append((aa, b, -(n // aa)))
+                    out.append((-aa, b, n // aa))
+    return out
+
+
+def _report_order(lo, hi):
+    # the fundamental d with lo <= |d| <= hi, d != 1, in (|d|, d) order
+    found = fundamental_discriminants_in(-hi, hi)
+    return sorted((d for d in found if lo <= abs(d) and d != 1), key=lambda d: (abs(d), d))
+
+
+def test_window_walk_matches_the_per_discriminant_search():
+    # the walk's buckets over windows of every width, with edges that
+    # fall anywhere: all reduced forms for d < 0, and for d > 0 those
+    # with a > 0, which meet every cycle
+    dmax = 3000
+    scope = _report_order(2, dmax)
+    expected = {d: sorted(f for f in _searched_forms(d) if d < 0 or f[0] > 0) for d in scope}
+    rng = random.Random(17)
+    cuts = {
+        "one window": [2, dmax + 1],
+        "windows of one": list(range(2, dmax + 2)),
+        "random edges": sorted({2, dmax + 1, *rng.sample(range(3, dmax + 1), 60)}),
+    }
+    for name, edges in cuts.items():
+        for lo, top in zip(edges, edges[1:]):
+            hi = top - 1
+            for negative, walk in ((True, quadforms._definite_forms), (False, quadforms._indefinite_forms)):
+                discs = [d for d in scope if lo <= abs(d) <= hi and (d < 0) == negative]
+                mask = bytearray(hi - lo + 1)
+                for d in discs:
+                    mask[abs(d) - lo] = 1
+                buckets = walk(lo, hi, mask)
+                for i, m in enumerate(mask):
+                    assert (buckets[i] is None) == (not m), (name, lo, hi, i)
+                for d in discs:
+                    assert sorted(buckets[abs(d) - lo]) == expected[d], (name, lo, hi, d)
+
+
+def test_class_groups_match_windows_of_one():
+    # class_groups walks windows of many discriminants; class_group walks
+    # a window of one
+    dmax = 3000
+    got = list(class_groups(dmax))
+    assert [g.discriminant for g in got] == _report_order(2, dmax)
+    assert got == [class_group(d) for d in _report_order(2, dmax)]
+    assert list(class_groups(1)) == []
+    assert [g.discriminant for g in class_groups(8)] == [-3, -4, 5, -7, -8, 8]
 
 
 def test_quadform_validation():
@@ -215,12 +290,23 @@ def test_power_of_class_number_is_identity():
 
 def test_two_rank_matches_genus_theory():
     # genus theory, which needs no composition: the 2-rank of the (narrow)
-    # class group of a fundamental discriminant D is omega(|D|) - 1
+    # class group of a fundamental discriminant D is omega(|D|) - 1.  The
+    # structure reads that rank where it fixes the 2-part, so the power
+    # table, which counts the rank by composition, is checked against it
+    # at every D with 2 | h
+    tabled = 0
     for d in fundamental_discriminants_in(-2000, 2000):
         if d == 1:
             continue
         divisors = class_group(d).elementary_divisors
         assert sum(1 for n in divisors if n % 2 == 0) == _omega(abs(d)) - 1, d
+        grp = _group_for(d)
+        e = _log_exact(len(grp.reps) & -len(grp.reps), 2)
+        if e:
+            parts = quadforms._torsion_parts(grp, 2, e)
+            assert len(parts) == _omega(abs(d)) - 1 and sum(parts) == e, d
+            tabled += 1
+    assert tabled > 900
 
 
 @pytest.mark.parametrize("d", [-3299, -3896, 229, 1596])
@@ -325,7 +411,8 @@ def test_power_tables_only_where_the_class_number_leaves_the_structure_open(
     monkeypatch,
 ):
     # a q-part of order q is Z/q and ell-rank is 0 or 1 when ell^2 does
-    # not divide h, so a power table is built only for primes q with q^2 | h
+    # not divide h, so a power table is built only for primes q with
+    # q^2 | h, and for q = 2 only where genus theory leaves it open
     calls = []
     real = quadforms._Group.power_table
     monkeypatch.setattr(
@@ -345,9 +432,16 @@ def test_power_tables_only_where_the_class_number_leaves_the_structure_open(
     for d, ell, rank in ((-47, 5, 1), (-4, 3, 0), (229, 3, 1)):
         assert tables(ell_rank, d, ell) == 0, (d, ell)
         assert ell_rank(d, ell) == rank
-    # h = 27, 16, 27: one prime with q^2 | h
+    # h = 27, 27: one prime with q^2 | h
     assert tables(class_group, -3299) == 1
-    assert tables(class_group, 1596) == 1
     assert tables(ell_rank, -3299, 3) == 1
-    # h = 36: both 2^2 and 3^2 divide it
-    assert tables(class_group, -3896) == 2
+    # genus theory fixes the number of parts of the 2-part, omega(d) - 1,
+    # and with it the partition: h = 16 with 2-rank 3 (1596 = 4*3*7*19)
+    # needs no table, h = 36 with 2-rank 1 (-3896 = -8 * 487) only the
+    # one for q = 3
+    assert tables(class_group, 1596) == 0
+    assert class_group(1596).elementary_divisors == (2, 2, 4)
+    assert tables(class_group, -3896) == 1
+    # h = 16 with 2-rank 2 (-2980 = -4 * 5 * 149): Z/2 x Z/8 or Z/4 x Z/4
+    assert tables(class_group, -2980) == 1
+    assert class_group(-2980).elementary_divisors == (2, 8)

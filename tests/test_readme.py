@@ -23,4 +23,4 @@ def test_readme_library_example_values():
         code, expected = claim.groups()
         assert eval(code, namespace) == ast.literal_eval(expected), line
         checked += 1
-    assert checked == 4
+    assert checked == 5
