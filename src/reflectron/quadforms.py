@@ -29,11 +29,7 @@ with omega(d) the number of primes dividing d, read off the shared
 sieve, and that decides the 2-part when it is 1 or at least v_2(h) - 1.
 Otherwise a prime q with q^2 | h needs q^k-torsion counted.  For
 each such q one table x -> x^q over the representatives is built, and
-x^(q^k) is that table applied k times.  The class of (a, -b, c) is the
-inverse of the class of (a, b, c), and x^q is the identity exactly when
-(x^-1)^q is, so only one member of every inverse pair {x, x^-1} is ever
-powered: its partner's power is the inverse of its own, one reduction
-away for D < 0 and one lookup of (c, b, a) for D > 0.
+x^(q^k) is that table applied k times.
 """
 
 from __future__ import annotations
@@ -329,27 +325,6 @@ class _Group:
     ) -> tuple[int, int, int]:
         return self.canon(_compose_raw(f, g, self.d))
 
-    def inverse(self, f: tuple[int, int, int]) -> tuple[int, int, int]:
-        # (a, -b, c) lies in the inverse class, and so does (c, b, a), its
-        # image under (x, y) -> (y, -x); for D > 0 the latter is reduced
-        # whenever f is, so a reduced f's inverse is one lookup
-        a, b, c = f
-        if self.d < 0:
-            return _reduce_def(a, -b, c)
-        return self.cls[c, b, a]
-
-    def power_table(self, q: int) -> dict[tuple[int, int, int], tuple[int, int, int]]:
-        """x -> x^q over every representative.  Only one member x of each
-        inverse pair {x, x^-1} is powered: (x^-1)^q is the inverse of x^q."""
-        table = {}
-        for f in self.reps:
-            if f not in table:
-                table[f] = y = self.power(f, q)
-                g = self.inverse(f)
-                if g != f:
-                    table[g] = self.inverse(y)
-        return table
-
     def power(self, f: tuple[int, int, int], k: int) -> tuple[int, int, int]:
         # right-to-left binary powering that starts at the lowest set bit
         # of k and stops before squaring past the highest one
@@ -419,10 +394,10 @@ def _q_parts(grp: _Group, q: int) -> list[int]:
 
 def _torsion_parts(grp: _Group, q: int, e: int) -> list[int]:
     # the partition of a q-part of order q^e, e >= 2, read off
-    # q^k-torsion counts from one table x -> x^q (see _Group.power_table),
-    # applied k times: m_k = log_q #{x : x^(q^k) = id} and m_k - m_(k-1)
-    # counts the parts >= k
-    table = grp.power_table(q)
+    # q^k-torsion counts from one table x -> x^q, applied k times:
+    # m_k = log_q #{x : x^(q^k) = id} and m_k - m_(k-1) counts the
+    # parts >= k
+    table = {f: grp.power(f, q) for f in grp.reps}
     # after k steps: x^(q^k) for every x whose power is not yet the identity
     live = grp.reps
     ms = [0]
@@ -495,8 +470,7 @@ def ell_rank(d: int, ell: int) -> int:
 
     It is the number of parts of the ell-part: 0 when ell does not
     divide h, 1 when ell || h, and otherwise counted from the power
-    table x -> x^ell, which powers only one member of every inverse
-    pair {x, x^-1}."""
+    table x -> x^ell."""
     if ell < 3 or ell % 2 == 0 or not is_prime(ell):
         raise ValueError("ell must be an odd prime")
     return len(_q_parts(_group_for(d), ell))

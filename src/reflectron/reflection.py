@@ -20,10 +20,13 @@ would conflate signatures in even degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .arith import is_fundamental_discriminant, is_prime, smallest_primitive_root
-from .cubicforms import CubicTabulation, count_N3
 from .quadforms import ell_rank
+
+if TYPE_CHECKING:
+    from .cubicforms import CubicTabulation
 
 
 @dataclass(frozen=True)
@@ -266,6 +269,8 @@ def verify_on3(
     either modulus, needs xmax >= 27 |D|.  A count its tabulation does
     not cover makes count_N3 raise.
     """
+    from .cubicforms import count_N3
+
     if not is_fundamental_discriminant(D) or D in (1, -3):
         raise ValueError(f"D = {D} is outside the identity's range")
     dstar = -3 * D if D % 3 else -D // 3

@@ -189,27 +189,40 @@ def test_single_process_commands_import_no_pool():
 
 
 def test_each_command_loads_only_the_layers_it_runs():
-    # a fresh interpreter, so no other test has loaded a layer
-    code = (
-        "import contextlib, io, sys\n"
-        "def layers():\n"
-        "    return sorted(m for m in sys.modules if m.startswith('reflectron.'))\n"
-        "import reflectron.cli\n"
-        "print(layers())\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = reflectron.cli.main(['classgroup', '--dmax', '50'])\n"
-        "print(code, layers(), 'csv' in sys.modules)\n"
+    # a fresh interpreter per command, so no other test or command has
+    # loaded a layer
+    def layers_after(argv):
+        code = (
+            "import contextlib, io, sys\n"
+            "def layers():\n"
+            "    return sorted(m for m in sys.modules if m.startswith('reflectron.'))\n"
+            "import reflectron.cli\n"
+            "print(layers())\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = reflectron.cli.main({argv!r})\n"
+            "print(code, layers(), 'csv' in sys.modules)\n"
+        )
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        return out.stdout
+
+    def expected(names, csv):
+        loaded = sorted(f"reflectron.{name}" for name in names)
+        return f"['reflectron.arith', 'reflectron.cli']\n0 {loaded} {csv}\n"
+
+    assert layers_after(["classgroup", "--dmax", "50"]) == expected(
+        ["arith", "cli", "quadforms"], False
     )
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout == (
-        "['reflectron.arith', 'reflectron.cli']\n"
-        "0 ['reflectron.arith', 'reflectron.cli', 'reflectron.quadforms'] False\n"
-    )
+    # the identity layer imports the cubic enumerator only inside verify_on3
+    predicting = ["arith", "cli", "quadforms", "reflection"]
+    for argv in (["predict", "--ell", "5", "--d", "-47"], ["corollary5", "--dmax", "50"]):
+        assert layers_after(argv) == expected(predicting, False), argv
+    argv = ["check-table", "--table", str(FIXTURE), "--corollary5", "--dmax", "100"]
+    assert layers_after(argv) == expected([*predicting, "fieldtables"], True)
 
 
 def test_every_public_name_resolves():
