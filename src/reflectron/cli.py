@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, replace
 from itertools import chain, islice
@@ -60,9 +59,10 @@ class RunConfig:
             raise ValueError(f"{self.command} needs exactly one of d and dmax")
         if self.command == "check-table" and self.table is None:
             raise ValueError("check-table needs a table")
-        needs_ell = self.command in ("predict", "check-table")
-        if needs_ell and self.ell is None and not self.corollary5:
-            raise ValueError(f"{self.command} needs --ell (or --corollary5)")
+        if self.command == "predict" and (self.ell is None or self.corollary5):
+            raise ValueError("predict needs --ell and takes no corollary5")
+        if self.command == "check-table" and self.ell is None and not self.corollary5:
+            raise ValueError("check-table needs --ell or --corollary5")
         if self.command == "corollary5" and not self.corollary5:
             raise ValueError("the corollary5 command needs corollary5 set")
         if self.corollary5 and self.ell not in (None, 5):
@@ -100,7 +100,7 @@ def _build_parser() -> _Parser:
             grp.add_argument("--d", type=int, help="single fundamental discriminant")
             grp.add_argument("--dmax", type=int, help="all fundamental 1 < |D| <= dmax")
         if workers:
-            p.add_argument("--workers", type=int, default=None)
+            p.add_argument("--workers", type=int, default=1)
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--format", choices=("json", "csv"), default=None)
 
@@ -117,7 +117,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("predict", help="evaluate the identity's left side and targets")
     p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--corollary5", action="store_true", help="ell = 5 aggregate form")
     common(p, scope=True)
 
     p = sub.add_parser("corollary5", help="the ell = 5 aggregate predictions")
@@ -132,19 +131,6 @@ def _build_parser() -> _Parser:
     common(p, scope=True)
 
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    # only cubic-tab and verify-on take --workers; it defaults to None there
-    if getattr(args, "workers", 1) is None:
-        text = os.environ.get("REFLECTRON_WORKERS", "1")
-        try:
-            args.workers = int(text)
-        except ValueError:
-            args.workers = 0
-        if args.workers < 1:
-            raise _UsageError(f"REFLECTRON_WORKERS must be a positive integer, got {text!r}")
-    return RunConfig(**vars(args))
 
 
 def emit_report(results, format: str, columns: list[str] | None = None) -> str:
@@ -336,9 +322,7 @@ def run(config: RunConfig) -> int:
 
     The rows stream into the report text, which is written only once it
     is built in full, so a run that raises part-way writes nothing."""
-    # `predict --corollary5` writes the corollary5 report
-    corollary5 = config.command == "predict" and config.corollary5
-    runner, columns, format = _COMMANDS["corollary5" if corollary5 else config.command]
+    runner, columns, format = _COMMANDS[config.command]
     config = replace(config, format=config.format or format)
     verdicts: set = set()
     text = emit_report(_noting_verdicts(runner(config), verdicts), config.format, columns)
@@ -353,8 +337,7 @@ def run(config: RunConfig) -> int:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        config = _config_from_args(args)
-        return run(config)
+        return run(RunConfig(**vars(args)))
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1

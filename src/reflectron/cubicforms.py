@@ -32,8 +32,7 @@ is d_K or 1, and a form past the root tests whose disc is neither is
 irreducible.  The tables are indexed by (a, b, c, d) mod m and built
 on first use; each (a, b, c) that gets a d slices every table once into
 a row indexed by d mod m.  Non-maximality at p implies p^2 | disc, so the tables mod 4
-and 9 need no divisibility test first.  is_irreducible and is_maximal
-go through the same per-form test.
+and 9 need no divisibility test first.
 
 A maximal cubic field has 27 | disc exactly when 3 is totally ramified,
 that is when its forms reduce mod 3 to a unit times a cube,
@@ -259,15 +258,13 @@ def _is_field(
 ) -> bool:
     # True when the form is primitive, maximal and irreducible.  rows is
     # _rows(a, b, c); disc is the form's discriminant, which modulus
-    # (1 or 27) divides; spf[m] is the least prime factor of each m > 1
-    # that n = |disc| // modulus leaves when its factors 2 and 3, then
-    # its least primes, are divided out (a sieve table that covers n,
-    # say).  The tests run cheapest first, and each is one term of an
-    # AND, so the order cannot change the verdict.  Non-maximality at p
-    # implies p^2 | disc (move the double root to 0: then p | c and
-    # p^2 | d, or p^2 | a and p | b at infinity, and every term of disc
-    # has a factor p^2), so the tables mod 4 and 9 need no divisibility
-    # test first
+    # (1 or 27) divides; spf is a smallest-prime-factor sieve table that
+    # covers |disc| // modulus.  The tests run cheapest first, and each
+    # is one term of an AND, so the order cannot change the verdict.
+    # Non-maximality at p implies p^2 | disc (move the double root to 0:
+    # then p | c and p^2 | d, or p^2 | a and p | b at infinity, and every
+    # term of disc has a factor p^2), so the tables mod 4 and 9 need no
+    # divisibility test first
     g, m4, m9, r2, r3, r5, r7, r11 = rows
     if g != 1 and gcd(g, d) != 1:
         return False
@@ -299,14 +296,7 @@ def _is_field(
 def is_irreducible(f: CubicForm) -> bool:
     """True when f has no linear factor over the rationals (for a binary
     cubic this is full irreducibility)."""
-    a, b, c, d = f.a, f.b, f.c, f.d
-    if a == 0:
-        return False
-    # with content 1, no non-maximality and disc = 1, which could be the
-    # disc of a reducible maximal form, only the root tests and the
-    # divisor search run
-    _, _, _, *roots = _rows(a, b, c)
-    return _is_field(a, b, c, d, (1, bytes(4), bytes(9), *roots), 1, 1, None)
+    return f.a != 0 and not _has_rational_root(f.a, f.b, f.c, f.d)
 
 
 def is_maximal(f: CubicForm) -> bool:
@@ -315,15 +305,10 @@ def is_maximal(f: CubicForm) -> bool:
     if not is_irreducible(f):
         raise ValueError("maximality is only defined for irreducible forms")
     a, b, c, d = f.a, f.b, f.c, f.d
-    # the smallest prime factor of each cofactor _is_field meets, read
-    # off one factorization in place of a sieve table
-    disc = cubic_disc(f)
-    spf = {}
-    n = abs(disc)
-    for p, e in factorize(disc).factors:
-        spf[n] = p
-        n //= p**e
-    return _is_field(a, b, c, d, _rows(a, b, c), disc, 1, spf)
+    if gcd(gcd(a, b), gcd(c, d)) != 1:
+        return False
+    factors = factorize(cubic_disc(f)).factors
+    return not any(_nonmax_at(a, b, c, d, p) for p, e in factors if e > 1)
 
 
 # ---------------------------------------------------------------------------

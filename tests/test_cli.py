@@ -42,6 +42,7 @@ def run_main(capsys, argv):
         ["predict", "--d", "-23"],
         ["predict", "--ell", "4", "--d", "-23"],
         ["predict", "--ell", "7", "--corollary5", "--d", "-3"],
+        ["predict", "--ell", "5", "--corollary5", "--d", "-47"],
         ["corollary5", "--d", "-15"],
         ["check-table", "--table", "x.csv", "--d", "-3"],
         ["check-table", "--table", "/no/such/file.csv", "--ell", "5", "--d", "-3"],
@@ -436,15 +437,6 @@ def test_corollary5_csv(capsys):
     )
 
 
-def test_predict_flag_matches_corollary5_command(capsys):
-    _, via_flag = run_main(
-        capsys, ["predict", "--ell", "5", "--corollary5", "--dmax", "30"]
-    )
-    _, via_command = run_main(capsys, ["corollary5", "--dmax", "30"])
-    assert via_flag == via_command
-    assert all(row["D"] % 5 for row in json.loads(via_command))
-
-
 def test_check_table_fixture_passes(capsys):
     code, out = run_main(
         capsys,
@@ -505,21 +497,19 @@ def test_check_table_huge_disc_is_not_factored(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
-def test_bad_workers_env_exits_1(capsys, monkeypatch, value):
+def test_workers_env_is_ignored(capsys, monkeypatch, value):
+    # --workers is the only control of the worker count
+    _, plain = run_main(capsys, ["cubic-tab", "--xmax", "100"])
     monkeypatch.setenv("REFLECTRON_WORKERS", value)
-    assert main(["cubic-tab", "--xmax", "100"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("usage error: REFLECTRON_WORKERS")
-    # commands that start no workers ignore the variable
-    assert main(["classgroup", "--d", "-23"]) == 0
+    code, out = run_main(capsys, ["cubic-tab", "--xmax", "100"])
+    assert code == 0
+    assert out == plain
 
 
-def test_workers_do_not_change_output(capsys, tmp_path, monkeypatch):
-    paths = [tmp_path / name for name in ("w1.csv", "w3.csv", "env.csv")]
+def test_workers_do_not_change_output(capsys, tmp_path):
+    paths = [tmp_path / name for name in ("w1.csv", "w3.csv", "default.csv")]
     assert main(["cubic-tab", "--xmax", "2000", "--workers", "1", "--out", str(paths[0])]) == 0
     assert main(["cubic-tab", "--xmax", "2000", "--workers", "3", "--out", str(paths[1])]) == 0
-    monkeypatch.setenv("REFLECTRON_WORKERS", "2")
     assert main(["cubic-tab", "--xmax", "2000", "--out", str(paths[2])]) == 0
     capsys.readouterr()
     first = paths[0].read_bytes()
@@ -710,7 +700,8 @@ def test_runconfig_validation():
         (dict(command="check-table", ell=5, d=-3), "needs a table"),
         (dict(command="check-table", table="t.csv", d=-3), "needs --ell"),
         (dict(command="corollary5", d=-3), "needs corollary5 set"),
-        (dict(command="predict", ell=7, corollary5=True, d=-3), "requires --ell 5"),
+        (dict(command="predict", ell=7, corollary5=True, d=-3), "takes no corollary5"),
+        (dict(command="predict", ell=5, corollary5=True, d=-47), "takes no corollary5"),
         (dict(command="corollary5", ell=7, corollary5=True, d=-3), "requires --ell 5"),
     ):
         with pytest.raises(ValueError, match=fragment):
@@ -728,13 +719,11 @@ def test_huge_worker_count_exits_1_before_any_work(capsys, monkeypatch):
         raise AssertionError("enumeration started")
 
     monkeypatch.setattr("reflectron.cubicforms.enumerate_cubic_fields", refuse)
-    for argv, env in (
-        (["cubic-tab", "--xmax", "100", "--workers", "257"], None),
-        (["verify-on", "--dmax", "10", "--workers", str(10**12)], None),
-        (["cubic-tab", "--xmax", "100"], str(10**9)),
+    for argv in (
+        ["cubic-tab", "--xmax", "100", "--workers", "257"],
+        ["verify-on", "--dmax", "10", "--workers", str(10**12)],
+        ["cubic-tab", "--xmax", "100", "--workers", str(10**9)],
     ):
-        if env is not None:
-            monkeypatch.setenv("REFLECTRON_WORKERS", env)
         assert main(argv) == 1, argv
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -192,7 +192,7 @@ def test_sieve_tables_are_built_on_first_use():
     code = (
         "import reflectron.cli, reflectron.cubicforms as c\n"
         "assert c._TABLES == [], 'built at import'\n"
-        "c.is_irreducible(c.CubicForm(1, 0, 0, 2))\n"
+        "c.enumerate_cubic_fields(100)\n"
         "assert [m for m, _ in c._TABLES] == [4, 9, 2, 3, 5, 7, 11]\n"
     )
     subprocess.run([sys.executable, "-c", code], check=True)
