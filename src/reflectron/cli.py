@@ -10,7 +10,6 @@ changes the bytes emitted.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass, replace
 from itertools import chain, islice
@@ -172,7 +171,10 @@ def _pieces(results, line, sep: str):
 
 
 def _json_row(row) -> str:
-    # a row dumped alone sits one level shallower than in the list
+    # a row dumped alone sits one level shallower than in the list; json
+    # is imported here, so the CSV reports never load it
+    import json
+
     return "  " + json.dumps(row, indent=2).replace("\n", "\n  ")
 
 

@@ -5,11 +5,11 @@ classical Dirichlet method, which needs only extended gcds (no
 factoring), and reduced with Gauss reduction (definite case) or the
 cycle-walk reduction (indefinite case).  For D > 0 a class group walks
 every reduction cycle once and keeps a table from each reduced form to
-its cycle's minimum, so the class of a product is one reduction and one
-lookup.  There the form class group under composition is the narrow
-class group; its odd part agrees with the odd part of the ordinary
-class group, which is all the reflection machinery upstream ever
-consumes.
+the first form of its cycle the walk found, so the class of a product
+is one reduction and one lookup.  There the form class group under
+composition is the narrow class group; its odd part agrees with the odd
+part of the ordinary class group, which is all the reflection machinery
+upstream ever consumes.
 
 A class group starts from the reduced forms of its discriminant, and
 one walk finds them for a whole window of discriminants at once: over
@@ -294,25 +294,22 @@ def _indefinite_forms(lo: int, hi: int, mask: bytes) -> list:
 
 
 class _Group:
-    """Class representatives under composition, built from reduced forms
-    of d: for d < 0 every reduced form, and these are the
-    representatives; for d > 0 at least one form of each reduction
-    cycle, and the representatives are the lexicographic minimum of each
-    cycle, found by lookup in a table from every reduced form to its
-    cycle's minimum."""
+    """Class representatives under composition, each the first reduced
+    form of d the walk found in its class: for d < 0 every reduced form;
+    for d > 0 the first found of each reduction cycle, with a table from
+    every reduced form of the cycle to it."""
 
     def __init__(self, d: int, forms: list[tuple[int, int, int]]):
         self.d = d
         if d < 0:
-            self.reps = sorted(forms)
+            self.reps = forms
         else:
             self.cls: dict[tuple[int, int, int], tuple[int, int, int]] = {}
+            self.reps = []
             for f in forms:
-                if f in self.cls:
-                    continue
-                cyc = _cycle(*f, d)
-                self.cls.update(dict.fromkeys(cyc, min(cyc)))
-            self.reps = sorted(set(self.cls.values()))
+                if f not in self.cls:
+                    self.cls.update(dict.fromkeys(_cycle(*f, d), f))
+                    self.reps.append(f)
         self.identity = self.canon(_principal(d))
 
     def canon(self, f: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -415,20 +412,17 @@ def _torsion_parts(grp: _Group, q: int, e: int) -> list[int]:
 
 
 def _structure(grp: _Group) -> ClassGroupStructure:
-    # each prime q | h contributes the partition of its q-part (see
-    # _q_parts): no composition when q || h or genus theory settles
-    # q = 2, and one power table otherwise, so no power is computed twice
+    # each prime q | h writes the partition of its q-part (see _q_parts),
+    # ascending, into the last len(parts) divisors: no composition when
+    # q || h or genus theory settles q = 2, and one power table otherwise,
+    # so no power is computed twice
     h = len(grp.reps)
     primes = [q for q, _ in factorize(h).factors] if h > 1 else []
     parts_per_prime = {q: _q_parts(grp, q) for q in primes}
-    width = max((len(p) for p in parts_per_prime.values()), default=0)
-    divisors = []
-    for i in range(width):
-        dd = 1
-        for q, parts in parts_per_prime.items():
-            padded = [0] * (width - len(parts)) + parts
-            dd *= q ** padded[i]
-        divisors.append(dd)
+    divisors = [1] * max(map(len, parts_per_prime.values()), default=0)
+    for q, parts in parts_per_prime.items():
+        for i, e in enumerate(parts, len(divisors) - len(parts)):
+            divisors[i] *= q**e
     return ClassGroupStructure(grp.d, tuple(divisors), narrow=grp.d > 0)
 
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .arith import is_fundamental_discriminant, is_prime, smallest_primitive_root
-from .quadforms import ell_rank
 
 if TYPE_CHECKING:
     from .cubicforms import CubicTabulation
@@ -165,6 +164,8 @@ def count_Dl(ell: int, D: int) -> int:
     group of Q(sqrt(D)), so the count is (ell^r - 1)/(ell - 1) with r
     the ell-rank.
     """
+    from .quadforms import ell_rank
+
     _check_ell(ell)
     _check_quadratic(D)
     return (ell ** ell_rank(D, ell) - 1) // (ell - 1)

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from reflectron import arith, quadforms
 from reflectron.arith import (
     Factorization,
+    distinct_prime_factors,
     factorize,
     fundamental_discriminants_in,
     is_fundamental_discriminant,
@@ -228,6 +229,19 @@ def test_squarefree_walks_the_sieve_table(fresh_sieve, monkeypatch):
     for n in (end - 1, end, end + 1):
         assert squarefree(n) == _squarefree_by_trial(n), n
     assert calls == [end, end + 1]
+
+
+def test_distinct_prime_factors_matches_factorize(fresh_sieve, monkeypatch):
+    smallest_prime_factors(5000)
+    end = len(arith._spf)
+    past = [end, end + 1, 2**40 * 3**3, 999_983 * 1_000_003]
+    calls = _count_factorize(monkeypatch, arith)
+    # n = 1 and every other n on the table, then past it, of either sign
+    for n in [*range(1, end), *past]:
+        for m in (n, -n):
+            assert distinct_prime_factors(m) == len(factorize(m).factors), m
+    # only the n past the table are factorized, as |n|, once per sign
+    assert calls == [n for n in past for _ in range(2)]
 
 
 def test_scoped_checks_do_not_factor_once_the_sieve_covers_them(

@@ -198,10 +198,10 @@ def test_each_command_loads_only_the_layers_it_runs():
             "def layers():\n"
             "    return sorted(m for m in sys.modules if m.startswith('reflectron.'))\n"
             "import reflectron.cli\n"
-            "print(layers())\n"
+            "print(layers(), 'json' in sys.modules)\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    code = reflectron.cli.main({argv!r})\n"
-            "print(code, layers(), 'csv' in sys.modules)\n"
+            "print(code, layers(), 'csv' in sys.modules, 'json' in sys.modules)\n"
         )
         path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
         env = {**os.environ, "PYTHONPATH": path}
@@ -211,19 +211,27 @@ def test_each_command_loads_only_the_layers_it_runs():
         assert out.returncode == 0, out.stderr
         return out.stdout
 
-    def expected(names, csv):
+    def expected(names, csv, json):
         loaded = sorted(f"reflectron.{name}" for name in names)
-        return f"['reflectron.arith', 'reflectron.cli']\n0 {loaded} {csv}\n"
+        return f"['reflectron.arith', 'reflectron.cli'] False\n0 {loaded} {csv} {json}\n"
 
+    # the CSV reports never load json
     assert layers_after(["classgroup", "--dmax", "50"]) == expected(
-        ["arith", "cli", "quadforms"], False
+        ["arith", "cli", "quadforms"], False, False
     )
-    # the identity layer imports the cubic enumerator only inside verify_on3
+    assert layers_after(["cubic-tab", "--xmax", "500"]) == expected(
+        ["arith", "cli", "cubicforms"], False, False
+    )
+    # the identity layer imports the cubic enumerator only inside
+    # verify_on3, and the class groups only inside count_Dl
+    assert layers_after(["verify-on", "--dmax", "50"]) == expected(
+        ["arith", "cli", "cubicforms", "reflection"], False, False
+    )
     predicting = ["arith", "cli", "quadforms", "reflection"]
     for argv in (["predict", "--ell", "5", "--d", "-47"], ["corollary5", "--dmax", "50"]):
-        assert layers_after(argv) == expected(predicting, False), argv
+        assert layers_after(argv) == expected(predicting, False, True), argv
     argv = ["check-table", "--table", str(FIXTURE), "--corollary5", "--dmax", "100"]
-    assert layers_after(argv) == expected([*predicting, "fieldtables"], True)
+    assert layers_after(argv) == expected([*predicting, "fieldtables"], True, True)
 
 
 def test_every_public_name_resolves():

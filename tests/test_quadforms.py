@@ -272,7 +272,8 @@ def test_group_law_on_representatives(d):
 
 
 def test_power_of_class_number_is_identity():
-    # Lagrange, for both signs (every d > 0 representative here has a < 0)
+    # Lagrange, for both signs (every d > 0 representative here is the
+    # first form the walk found in its cycle, which has a > 0)
     for d in fundamental_discriminants_in(-1000, 1000):
         if d == 1:
             continue
