@@ -30,6 +30,7 @@ _MODULES = {
     "class_group": "quadforms",
     "class_groups": "quadforms",
     "ell_rank": "quadforms",
+    "ell_ranks": "quadforms",
     "CubicForm": "cubicforms",
     "CubicTabulation": "cubicforms",
     "cubic_disc": "cubicforms",
@@ -49,12 +50,15 @@ _MODULES = {
     "fl_disc_from_conductor": "reflection",
     "target_discs": "reflection",
     "predict": "reflection",
+    "predictions": "reflection",
     "verify_on3": "reflection",
     "corollary5_predict": "reflection",
+    "corollary5_predictions": "reflection",
     "FieldTableEntry": "fieldtables",
     "TableComparison": "fieldtables",
     "parse_field_table": "fieldtables",
     "compare_with_table": "fieldtables",
+    "compare_each_with_table": "fieldtables",
 }
 
 __all__ = list(_MODULES)

@@ -10,6 +10,7 @@ changes the bytes emitted.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, replace
 from itertools import chain, islice
@@ -243,20 +244,18 @@ def _run_verify_on(config: RunConfig):
 
 
 def _predictions(config: RunConfig):
-    from .reflection import corollary5_predict, predict
+    # one class-group walk for the whole scope, its ranks streamed in
+    # scope order
+    from .reflection import corollary5_predictions, predictions
 
-    if config.corollary5:
-        if config.d is None:
-            # each d also reads the class group of 5 d: a sieve that
-            # covers 5 dmax lets every fundamental discriminant test walk it
-            smallest_prime_factors(5 * config.dmax)
-        for d in _scope(config):
-            if config.d is None and d % 5 == 0:
-                continue
-            yield corollary5_predict(d)
-    else:
-        for d in _scope(config, config.ell, -config.ell):
-            yield predict(config.ell, d)
+    if not config.corollary5:
+        return predictions(config.ell, _scope(config, config.ell, -config.ell))
+    if config.d is not None:
+        return corollary5_predictions([config.d])
+    # each d also reads the class group of 5 d: a sieve that covers
+    # 5 dmax lets every fundamental discriminant test walk it
+    smallest_prime_factors(5 * config.dmax)
+    return corollary5_predictions(d for d in _scope(config) if d % 5)
 
 
 def _run_predict(config: RunConfig):
@@ -283,14 +282,16 @@ def _run_predict(config: RunConfig):
 
 
 def _run_check_table(config: RunConfig):
-    from .fieldtables import compare_with_table, parse_field_table
+    from .fieldtables import compare_each_with_table, parse_field_table
 
     with open(config.table, newline="") as handle:
         entries = parse_field_table(handle)
     bound = config.assume_complete_below
-    for pred in _predictions(config):
+    for comparison in compare_each_with_table(
+        _predictions(config), entries, assume_complete_below=bound
+    ):
         # the fields are in row order, and JSON writes the tuples as lists
-        yield vars(compare_with_table(pred, entries, assume_complete_below=bound))
+        yield vars(comparison)
 
 
 # each command's runner, CSV columns and default format
@@ -323,17 +324,38 @@ def run(config: RunConfig) -> int:
     2 when some row's verdict is "fail".
 
     The rows stream into the report text, which is written only once it
-    is built in full, so a run that raises part-way writes nothing."""
+    is built in full, so a run that raises part-way writes nothing, and
+    --out replaces its file whole (see _write_out)."""
     runner, columns, format = _COMMANDS[config.command]
     config = replace(config, format=config.format or format)
     verdicts: set = set()
     text = emit_report(_noting_verdicts(runner(config), verdicts), config.format, columns)
     if config.out:
-        with open(config.out, "w") as handle:
-            handle.write(text)
+        _write_out(config.out, text)
     else:
         sys.stdout.write(text)
     return 2 if "fail" in verdicts else 0
+
+
+def _write_out(path: str, text: str) -> None:
+    # a regular file, or a new one, is written to a temporary file beside
+    # it that is then renamed over it, so a write that fails part-way
+    # leaves the old file, or none; a symlink is followed, and a device
+    # or a pipe such as /dev/stdout is written in place
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "w") as handle:
+            handle.write(text)
+        return
+    temporary = f"{target}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, "w") as handle:
+            handle.write(text)
+        os.replace(temporary, target)
+    except BaseException:
+        if os.path.exists(temporary):
+            os.unlink(temporary)
+        raise
 
 
 def main(argv: list[str] | None = None) -> int:

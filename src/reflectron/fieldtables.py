@@ -7,19 +7,27 @@ Checks run in one of two modes: exact (pass/fail, for the cubic case
 and the ell = 5 aggregate, where the identity pins the count) or
 lower-bound (informational, for ell >= 7, where the identity counts
 only fields satisfying a side condition no discriminant table records).
-Each prediction is matched in one pass over the entries, against the
-set of its target keys: O(entries) per prediction.
+A run indexes its table once, the entries sorted by magnitude, so a
+prediction is matched by a binary search per target: O(entries log
+entries) per table and O(log entries) per target, where a scan of the
+entries per prediction cost O(entries).
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import sys
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .reflection import Corollary5Report, FieldDiscriminant, PredictionRecord
 
 _HEADER = "label,degree,r2,disc,galois"
+
+_magnitude = attrgetter("disc_magnitude")
 
 
 @dataclass(frozen=True)
@@ -67,7 +75,9 @@ def parse_field_table(stream) -> list[FieldTableEntry]:
         except ValueError:
             raise ValueError(f"line {line}: degree, r2, disc must be integers") from None
         try:
-            entry = FieldTableEntry(label, degree, r2, abs(disc), galois)
+            # a table names a few Galois groups, so its rows share one
+            # string per name
+            entry = FieldTableEntry(label, degree, r2, abs(disc), sys.intern(galois))
         except ValueError as err:
             raise ValueError(f"line {line}: {err}") from None
         entries.append(entry)
@@ -112,42 +122,59 @@ def compare_with_table(
     table is complete: targets beyond it demote the check to
     lower-bound mode, since absence there proves nothing.
     """
-    if isinstance(pred, Corollary5Report):
-        ell, D, exact = 5, pred.d, True
-    elif isinstance(pred, PredictionRecord):
-        ell, D, exact = pred.ell, pred.D, pred.ell == 3
-    else:
-        raise TypeError(f"cannot compare {type(pred).__name__} with a table")
-    targets = pred.targets
-    expected = pred.lhs_value
-    if entries and all(e.degree != targets[0].degree for e in entries):
-        raise ValueError(f"table has no degree-{targets[0].degree} entries")
-    # degree-3 Frobenius closure is the full symmetric group, which is
-    # how public tables label it; beyond that the F-notation is standard
-    galois = "S3" if ell == 3 else f"F{ell}"
-    keys = {(fd.degree, fd.r2, fd.magnitude) for fd in targets}
-    matched = {
-        e.label
-        for e in entries
-        if e.galois_label == galois and (e.degree, e.r2, e.disc_magnitude) in keys
-    }
-    observed = len(matched)
-    missing, surplus, note = (), (), ""
-    if exact and assume_complete_below is not None:
-        beyond = sum(fd.magnitude > assume_complete_below for fd in targets)
-        if beyond:
-            exact = False
-            note = f"{beyond} of {len(targets)} targets exceed the completeness bound"
-    if not exact:
-        verdict = "informational"
-        # ell = 13 is never exact, so the bound above has set no note
-        if ell == 13 and expected > 0 and observed == 0:
-            note = "zero observed at ell = 13 with positive prediction; recorded, not failed"
-    elif observed == expected:
-        verdict = "pass"
-    elif observed < expected:
-        verdict, missing = "fail", tuple(fd.signed_value() for fd in targets)
-    else:
-        verdict, surplus = "fail", tuple(sorted(matched))
-    mode = "exact" if exact else "lower-bound"
-    return TableComparison(mode, ell, D, expected, observed, missing, surplus, verdict, note)
+    bound = assume_complete_below
+    return next(compare_each_with_table([pred], entries, assume_complete_below=bound))
+
+
+def compare_each_with_table(
+    preds: Iterable[PredictionRecord | Corollary5Report],
+    entries: list[FieldTableEntry],
+    *,
+    assume_complete_below: int | None = None,
+) -> Iterator[TableComparison]:
+    """compare_with_table(pred, entries) for each pred of preds, in
+    their order, with the entries indexed once for all of them: sorted
+    by magnitude, which holds one list of the entries and no object per
+    entry."""
+    table = sorted(entries, key=_magnitude)
+    degrees = {e.degree for e in entries}
+    for pred in preds:
+        if isinstance(pred, Corollary5Report):
+            ell, D, exact = 5, pred.d, True
+        elif isinstance(pred, PredictionRecord):
+            ell, D, exact = pred.ell, pred.D, pred.ell == 3
+        else:
+            raise TypeError(f"cannot compare {type(pred).__name__} with a table")
+        targets = pred.targets
+        expected = pred.lhs_value
+        if degrees and targets[0].degree not in degrees:
+            raise ValueError(f"table has no degree-{targets[0].degree} entries")
+        # degree-3 Frobenius closure is the full symmetric group, which is
+        # how public tables label it; beyond that the F-notation is standard
+        galois = "S3" if ell == 3 else f"F{ell}"
+        matched = set()
+        for fd in targets:
+            start = bisect_left(table, fd.magnitude, key=_magnitude)
+            for e in table[start : bisect_right(table, fd.magnitude, lo=start, key=_magnitude)]:
+                if (e.galois_label, e.degree, e.r2) == (galois, fd.degree, fd.r2):
+                    matched.add(e.label)
+        observed = len(matched)
+        missing, surplus, note = (), (), ""
+        if exact and assume_complete_below is not None:
+            beyond = sum(fd.magnitude > assume_complete_below for fd in targets)
+            if beyond:
+                exact = False
+                note = f"{beyond} of {len(targets)} targets exceed the completeness bound"
+        if not exact:
+            verdict = "informational"
+            # ell = 13 is never exact, so the bound above has set no note
+            if ell == 13 and expected > 0 and observed == 0:
+                note = "zero observed at ell = 13 with positive prediction; recorded, not failed"
+        elif observed == expected:
+            verdict = "pass"
+        elif observed < expected:
+            verdict, missing = "fail", tuple(fd.signed_value() for fd in targets)
+        else:
+            verdict, surplus = "fail", tuple(sorted(matched))
+        mode = "exact" if exact else "lower-bound"
+        yield TableComparison(mode, ell, D, expected, observed, missing, surplus, verdict, note)

@@ -15,11 +15,13 @@ A class group starts from the reduced forms of its discriminant, and
 one walk finds them for a whole window of discriminants at once: over
 the reduced triples (a, b, c) with |disc| in the window, where at fixed
 (a, b) the discriminants step by 4a as c grows, bucketed by
-discriminant through a mask of the wanted ones.  class_groups walks
-windows of about 2 sqrt(|d|) discriminants each, which costs
-O(dmax^(3/2)) for the whole range and holds the forms of one window at
-a time; class_group and ell_rank walk a window of one discriminant,
-O(|d|).
+discriminant through a mask of the wanted ones.  A walk costs O(hi)
+however wide its window is, so every route in takes its discriminants
+in (|d|, d) order and cuts them into windows by count: about
+2 sqrt(lo) discriminants each.  ell_ranks streams any such sequence,
+class_groups the whole range (O(dmax^(3/2)) in all), and class_group and
+ell_rank are the case of one discriminant, O(|d|); each holds the forms
+of one window at a time.
 
 Group structure comes from the class number h where h decides it: a
 prime q with q || h gives the q-part Z/q, since a group of order q is
@@ -34,9 +36,9 @@ x^(q^k) is that table applied k times.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from math import isqrt
 
 from .arith import (
@@ -47,11 +49,6 @@ from .arith import (
     is_prime,
     smallest_prime_factors,
 )
-
-# a window of class_groups spans this many times sqrt(lo) values of |d|:
-# wider windows walk fewer (a, b) pairs in all, and hold more forms
-_WINDOW = 2
-
 
 @dataclass(frozen=True)
 class QuadForm:
@@ -335,28 +332,45 @@ class _Group:
             f = self.mul(f, f)
 
 
-def _groups(lo: int, hi: int, discs: list[int]) -> Iterator[_Group]:
-    # the groups of discs, fundamental discriminants with lo <= |d| <= hi
-    # in (|d|, d) order, from one walk of the reduced forms per sign
-    # present; each group's forms are dropped once it is built
-    buckets = {}
-    for negative, walk in ((True, _definite_forms), (False, _indefinite_forms)):
-        mask = bytearray(hi - lo + 1)
-        for d in discs:
-            if (d < 0) == negative:
-                mask[abs(d) - lo] = 1
-        if any(mask):
-            buckets[negative] = walk(lo, hi, mask)
-    for d in discs:
-        bucket = buckets[d < 0]
-        forms, bucket[abs(d) - lo] = bucket[abs(d) - lo], None
-        yield _Group(d, forms)
+def _walk(discs: Iterable[int]) -> Iterator[_Group]:
+    # the groups of discs, in their order, from one walk of the reduced
+    # forms per sign present in each window.  A window opening at
+    # |d| = lo takes the next 2 isqrt(lo) discriminants with |d| <= 2 lo,
+    # so its mask spans at most lo + 1 values of |d|.  Each d is checked
+    # when it is read, and each group's forms are dropped once it is built
+    window: list[int] = []
+    last = (0, 0)
+    for d in chain(discs, [None]):
+        if window and (d is None or len(window) >= 2 * isqrt(lo) or abs(d) > 2 * lo):
+            hi = abs(window[-1])
+            buckets = {}
+            for negative, walk in ((True, _definite_forms), (False, _indefinite_forms)):
+                mask = bytearray(hi - lo + 1)
+                for w in window:
+                    if (w < 0) == negative:
+                        mask[abs(w) - lo] = 1
+                if any(mask):
+                    buckets[negative] = walk(lo, hi, mask)
+            for w in window:
+                bucket = buckets[w < 0]
+                forms, bucket[abs(w) - lo] = bucket[abs(w) - lo], None
+                yield _Group(w, forms)
+            window = []
+        if d is None:
+            return
+        if (abs(d), d) <= last or d == 1 or not is_fundamental_discriminant(d):
+            raise ValueError(
+                f"{d} is not a fundamental discriminant other than 1 after {last[1]}"
+                " in (|d|, d) order"
+            )
+        last = (abs(d), d)
+        if not window:
+            lo = abs(d)
+        window.append(d)
 
 
 def _group_for(d: int) -> _Group:
-    if d == 1 or not is_fundamental_discriminant(d):
-        raise ValueError(f"{d} is not a fundamental discriminant distinct from 1")
-    return next(_groups(abs(d), abs(d), [d]))
+    return next(_walk([d]))
 
 
 def _log_int(n: int, q: int) -> int:
@@ -437,25 +451,22 @@ def class_group(d: int) -> ClassGroupStructure:
 
 def class_groups(dmax: int) -> Iterator[ClassGroupStructure]:
     """class_group(d) for every fundamental d with 1 < |d| <= dmax, in
-    (|d|, d) order.
+    (|d|, d) order, from the walk ell_ranks makes.
 
     The shared sieve table is sized to dmax first, so a dmax past its
-    ceiling raises ValueError before anything is walked.  Then one walk
-    per sign finds the reduced forms of every discriminant in a window
-    of |d|, and buckets those of the fundamental ones, which
-    fundamental_discriminants_in lists.  A window [lo, hi] spans about
-    _WINDOW sqrt(lo) values of |d|, so both walks visit O(hi) pairs
-    (a, b) per window and O(dmax^(3/2)) in all, and a window holds the
-    forms of O(sqrt(lo)) discriminants at a time."""
+    ceiling raises ValueError before anything is walked.  The
+    discriminants are listed isqrt(dmax) + 1 values of |d| at a time by
+    fundamental_discriminants_in, and the walk costs O(dmax^(3/2))."""
     smallest_prime_factors(dmax)
-    lo = 2
-    while lo <= dmax:
-        hi = min(dmax, lo + _WINDOW * isqrt(lo))
-        neg = fundamental_discriminants_in(-hi, -lo)
-        discs = sorted(neg[::-1] + fundamental_discriminants_in(lo, hi), key=abs)
-        for grp in _groups(lo, hi, discs):
-            yield _structure(grp)
-        lo = hi + 1
+    width = isqrt(dmax) + 1
+
+    def discs():
+        for lo in range(2, dmax + 1, width):
+            hi = min(dmax, lo + width - 1)
+            neg = fundamental_discriminants_in(-hi, -lo)
+            yield from sorted(neg + fundamental_discriminants_in(lo, hi), key=abs)
+
+    return map(_structure, _walk(discs()))
 
 
 def ell_rank(d: int, ell: int) -> int:
@@ -464,7 +475,19 @@ def ell_rank(d: int, ell: int) -> int:
 
     It is the number of parts of the ell-part: 0 when ell does not
     divide h, 1 when ell || h, and otherwise counted from the power
-    table x -> x^ell."""
+    table x -> x^ell.  It is ell_ranks over d alone, a walk of O(|d|)."""
+    return next(ell_ranks([d], ell))
+
+
+def ell_ranks(discs: Iterable[int], ell: int) -> Iterator[int]:
+    """ell_rank(d, ell) for each d of discs, in their order.
+
+    discs are fundamental discriminants other than 1 in strictly
+    increasing (|d|, d) order, read once; one that is not raises
+    ValueError before its group is built.  One walk per sign finds the
+    reduced forms of a window of O(sqrt(|d|)) of them at a time, in
+    O(|d|) whatever its width, and holds their forms alone."""
     if ell < 3 or ell % 2 == 0 or not is_prime(ell):
         raise ValueError("ell must be an odd prime")
-    return len(_q_parts(_group_for(d), ell))
+    for grp in _walk(discs):
+        yield len(_q_parts(grp, ell))

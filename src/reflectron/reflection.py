@@ -19,7 +19,9 @@ would conflate signatures in even degree.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import tee
 from typing import TYPE_CHECKING
 
 from .arith import is_fundamental_discriminant, is_prime, smallest_primitive_root
@@ -168,7 +170,12 @@ def count_Dl(ell: int, D: int) -> int:
 
     _check_ell(ell)
     _check_quadratic(D)
-    return (ell ** ell_rank(D, ell) - 1) // (ell - 1)
+    return _subgroups(ell, ell_rank(D, ell))
+
+
+def _subgroups(ell: int, rank: int) -> int:
+    # the index-ell subgroups of a group of ell-rank rank
+    return (ell**rank - 1) // (ell - 1)
 
 
 def admissible_conductor_exponents(ell: int, D: int) -> set[int]:
@@ -238,11 +245,24 @@ class PredictionRecord:
 def predict(ell: int, D: int) -> PredictionRecord:
     """Evaluate the left side of the identity at (ell, D) and name the
     two discriminants whose field counts the right side sums."""
-    targets = target_discs(ell, D)
-    dl_count = count_Dl(ell, D)
-    lhs = dl_count if D < 0 else ell * dl_count + 1
-    g = smallest_primitive_root(ell)
-    return PredictionRecord(ell, D, g, dl_count, lhs, targets, ell >= 7)
+    return next(predictions(ell, [D]))
+
+
+def predictions(ell: int, Ds: Iterable[int]) -> Iterator[PredictionRecord]:
+    """predict(ell, D) for each D of Ds, in their order.
+
+    Ds are read once, and must be fundamental discriminants in strictly
+    increasing (|D|, D) order: their ell-ranks come from one
+    quadforms.ell_ranks walk, which raises ValueError at one that is
+    not."""
+    from .quadforms import ell_ranks
+
+    Ds, scope = tee(Ds)
+    for D, rank in zip(Ds, ell_ranks(scope, ell)):
+        dl_count = _subgroups(ell, rank)
+        lhs = dl_count if D < 0 else ell * dl_count + 1
+        g = smallest_primitive_root(ell)
+        yield PredictionRecord(ell, D, g, dl_count, lhs, target_discs(ell, D), ell >= 7)
 
 
 @dataclass(frozen=True)
@@ -299,11 +319,31 @@ def corollary5_predict(d: int) -> Corollary5Report:
     those targets exact with no side condition.  The left side is the
     plain sum for d < 0 and five times it plus two for d > 0.
     """
-    _check_quadratic(d)
-    if d % 5 == 0:
-        raise ValueError(f"d = {d} is not coprime to 5")
-    total = count_Dl(5, d) + count_Dl(5, 5 * d)
-    lhs = total if d < 0 else 5 * total + 2
-    # magnitudes 5^3 d^2, 5^5 d^2, 5^7 d^2
-    targets = tuple(_reflected_disc(5, d, k, 5) for k in (0, 2, 4))
-    return Corollary5Report(d, lhs, targets)
+    return next(corollary5_predictions([d]))
+
+
+def _times_5(ds: Iterable[int]) -> Iterator[int]:
+    # 5d for each d, checked here so that a d divisible by 5 is named as
+    # such, not as a 5d that is not fundamental
+    for d in ds:
+        if d % 5 == 0:
+            raise ValueError(f"d = {d} is not coprime to 5")
+        yield 5 * d
+
+
+def corollary5_predictions(ds: Iterable[int]) -> Iterator[Corollary5Report]:
+    """corollary5_predict(d) for each d of ds, in their order.
+
+    ds are read once, and must be fundamental discriminants coprime to
+    5 in strictly increasing (|d|, d) order, as predictions asks.  The
+    5d are then in that order too, so the ranks at d and at 5d come from
+    two quadforms.ell_ranks walks read side by side."""
+    from .quadforms import ell_ranks
+
+    ds, at_d, at_5d = tee(ds, 3)
+    for d, rank, rank5 in zip(ds, ell_ranks(at_d, 5), ell_ranks(_times_5(at_5d), 5)):
+        total = _subgroups(5, rank) + _subgroups(5, rank5)
+        lhs = total if d < 0 else 5 * total + 2
+        # magnitudes 5^3 d^2, 5^5 d^2, 5^7 d^2
+        targets = tuple(_reflected_disc(5, d, k, 5) for k in (0, 2, 4))
+        yield Corollary5Report(d, lhs, targets)

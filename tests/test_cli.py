@@ -372,6 +372,55 @@ def test_a_run_that_raises_part_way_writes_nothing(capsys, monkeypatch, tmp_path
     assert (code, out) == (1, "")
 
 
+@pytest.mark.parametrize("earlier", [b"earlier report\n", None])
+def test_an_out_file_write_that_fails_part_way_leaves_the_old_file(
+    capsys, monkeypatch, tmp_path, earlier
+):
+    # the report goes to a temporary file beside --out that is renamed
+    # over it, so a write cut short (a full disk, say) leaves the old
+    # report, or none, and no temporary file
+    real_open = open
+
+    class HalfWriting:
+        def __init__(self, handle):
+            self.handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+        def write(self, text):
+            self.handle.write(text[: len(text) // 2])
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(
+        cli, "open", lambda *args: HalfWriting(real_open(*args)), raising=False
+    )
+    path = tmp_path / "report.csv"
+    if earlier is not None:
+        path.write_bytes(earlier)
+    code, out = run_main(capsys, ["classgroup", "--dmax", "50", "--out", str(path)])
+    assert (code, out) == (1, "")
+    if earlier is None:
+        assert not path.exists()
+    else:
+        assert path.read_bytes() == earlier
+    assert [p.name for p in tmp_path.iterdir()] == ([] if earlier is None else ["report.csv"])
+
+
+def test_out_through_a_symlink_replaces_its_target(capsys, tmp_path):
+    _, out = run_main(capsys, ["classgroup", "--dmax", "50"])
+    target = tmp_path / "report.csv"
+    target.write_text("earlier report\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert main(["classgroup", "--dmax", "50", "--out", str(link)]) == 0
+    assert link.is_symlink() and target.read_text() == out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "report.csv"]
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_verify_on_matches_one_full_tabulation(capsys, workers):
     # verify-on reads -27 D from a modulus-27 tabulation and the rest from

@@ -8,6 +8,7 @@ from reflectron.arith import fundamental_discriminants_in
 from reflectron.fieldtables import (
     FieldTableEntry,
     TableComparison,
+    compare_each_with_table,
     compare_with_table,
     parse_field_table,
 )
@@ -218,6 +219,9 @@ def _compare_by_brute_force(pred, entries, assume_complete_below):
         ell, D, exact = 5, pred.d, True
     else:
         ell, D, exact = pred.ell, pred.D, pred.ell == 3
+    degree = pred.targets[0].degree
+    if entries and all(e.degree != degree for e in entries):
+        raise ValueError(f"table has no degree-{degree} entries")
     galois = "S3" if ell == 3 else f"F{ell}"
     labels = set()
     for t in pred.targets:
@@ -300,3 +304,49 @@ def test_compare_matches_a_per_target_brute_force_scan():
         ("informational", False, False, False),
         ("informational", False, False, True),
     } <= seen
+
+
+def _until_error(comparisons):
+    # the comparisons in order, then the message of a ValueError that
+    # ends them
+    out = []
+    try:
+        for comparison in comparisons:
+            out.append(comparison)
+    except ValueError as err:
+        out.append(str(err))
+    return out
+
+
+def test_each_comparison_matches_a_linear_scan_per_prediction():
+    # one index of one table for a run of predictions, against a full
+    # scan per prediction: shuffled rows, labels repeated within and
+    # across targets and predictions, near misses in degree, r2,
+    # magnitude and Galois label, an empty table, and tables with no
+    # entry of some predicted degree
+    rng = random.Random(21)
+    preds = [predict(3, D) for D in (-23, -31, -4, 229, 321)]
+    preds += [predict(5, -11), predict(7, -4), predict(13, -191)]
+    preds += [corollary5_predict(d) for d in (-47, -11, 13, -3, 41)]
+    outcomes = set()
+    for trial in range(300):
+        pool = rng.randrange(2, 12)
+
+        def label():
+            return f"L{rng.randrange(pool)}"
+
+        run = rng.sample(preds, rng.randrange(1, len(preds) + 1))
+        entries = []
+        for pred in rng.sample(preds, rng.randrange(len(preds) + 1)):
+            galois = "S3" if pred.targets[0].degree == 3 else f"F{pred.targets[0].degree}"
+            for t in pred.targets:
+                for _ in range(rng.randrange(3)):
+                    entries.append(entry(label(), t.degree, t.r2, t.magnitude, galois))
+                entries += _near_misses(rng, t, galois, label)
+        rng.shuffle(entries)
+        bound = rng.choice([None, 10**4, 10**9])
+        got = _until_error(compare_each_with_table(run, entries, assume_complete_below=bound))
+        scan = (_compare_by_brute_force(pred, entries, bound) for pred in run)
+        assert got == _until_error(scan), trial
+        outcomes.add("empty" if not entries else type(got[-1]).__name__)
+    assert outcomes == {"empty", "TableComparison", "str"}

@@ -13,6 +13,7 @@ from reflectron.quadforms import (
     class_groups,
     compose,
     ell_rank,
+    ell_ranks,
     form_discriminant,
     is_equivalent,
     reduce,
@@ -117,6 +118,63 @@ def test_class_groups_match_windows_of_one():
     assert got == [class_group(d) for d in _report_order(2, dmax)]
     assert list(class_groups(1)) == []
     assert [g.discriminant for g in class_groups(8)] == [-3, -4, 5, -7, -8, 8]
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7])
+def test_streamed_ranks_match_windows_of_one(ell):
+    # ell_ranks walks windows of many discriminants, ell_rank a window of
+    # one.  A window opens at the first |d| it reads and is cut by count
+    # and by width, so streams that start anywhere and thin out put its
+    # edges anywhere, between -m and m too
+    dense = _report_order(2, 2000)
+    coprime = [d for d in _report_order(2, 300) if d % 5]
+    rng = random.Random(ell)
+    streams = {
+        "dense": dense,
+        "d of corollary5": coprime,
+        "5d of corollary5": [5 * d for d in coprime],
+        "random subset": [d for d in dense if rng.random() < 0.1],
+        "from 1000": [d for d in dense if abs(d) >= 1000],
+        "far apart": [-3, 5, -7, 1853, -1855, 1857],
+        "empty": [],
+    }
+    per_d = {d: ell_rank(d, ell) for d in dense + [5 * d for d in coprime]}
+    for name, discs in streams.items():
+        assert list(ell_ranks(discs, ell)) == [per_d[d] for d in discs], name
+    for start in range(120):
+        discs = dense[start : start + 60]
+        assert list(ell_ranks(iter(discs), ell)) == [per_d[d] for d in discs], start
+
+
+@pytest.mark.parametrize(
+    "discs",
+    [[-3, 1], [-4, -3], [5, 5], [8, -8], [-3, -4, 45], [-3, 0], [1], [-12]],
+)
+def test_streamed_ranks_reject_a_bad_sequence(discs):
+    # fundamental discriminants other than 1, strictly increasing in
+    # (|d|, d) order; anything else raises before its group is built
+    with pytest.raises(ValueError):
+        list(ell_ranks(discs, 3))
+
+
+def test_scholz_reflection_bounds_the_3_ranks():
+    # Scholz (1932): with D* = -3D when 3 does not divide D and -D/3
+    # when it does, the 3-ranks of the real and the imaginary field of
+    # the pair {D, D*} obey r(real) <= r(imag) <= r(real) + 1.  Read off
+    # class_groups alone, with no cubic form
+    ranks = {
+        g.discriminant: sum(n % 3 == 0 for n in g.elementary_divisors)
+        for g in class_groups(3000)
+    }
+    pairs = {}
+    for D in ranks:
+        if abs(D) <= 1000 and D != -3:
+            Dstar = -3 * D if D % 3 else -D // 3
+            real, imag = max(D, Dstar), min(D, Dstar)
+            pairs[real, imag] = ranks[imag] - ranks[real]
+    assert len(pairs) == 454
+    # both bounds are reached
+    assert set(pairs.values()) == {0, 1}
 
 
 def test_quadform_validation():
