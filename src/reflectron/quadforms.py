@@ -358,11 +358,10 @@ def _walk(discs: Iterable[int]) -> Iterator[_Group]:
             window = []
         if d is None:
             return
-        if (abs(d), d) <= last or d == 1 or not is_fundamental_discriminant(d):
-            raise ValueError(
-                f"{d} is not a fundamental discriminant other than 1 after {last[1]}"
-                " in (|d|, d) order"
-            )
+        if (abs(d), d) <= last:
+            raise ValueError(f"{d} does not follow {last[1]} in (|d|, d) order")
+        if d == 1 or not is_fundamental_discriminant(d):
+            raise ValueError(f"{d} is not a fundamental discriminant distinct from 1")
         last = (abs(d), d)
         if not window:
             lo = abs(d)
