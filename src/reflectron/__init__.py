@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 _MODULES = {
     "Factorization": "arith",
     "factorize": "arith",
-    "fundamental_discriminants_in": "arith",
+    "fundamental_discriminants": "arith",
     "is_fundamental_discriminant": "arith",
     "is_prime": "arith",
     "smallest_primitive_root": "arith",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache
 from math import gcd, isqrt
@@ -237,20 +238,18 @@ def is_fundamental_discriminant(d: int) -> bool:
     return False
 
 
-def fundamental_discriminants_in(lo: int, hi: int) -> list[int]:
-    """Ascending fundamental discriminants in the closed range [lo, hi].
+def fundamental_discriminants(dmax: int) -> Iterator[int]:
+    """Every fundamental discriminant d with 1 < |d| <= dmax, in (|d|, d)
+    order, each tested as it is read.
 
-    The shared sieve table is first sized to max(|lo|, |hi|), so every
-    squarefree test walks it and none factorizes.  That costs 4 bytes
-    per unit of max(|lo|, |hi|) (up to twice that when it regrows a
-    smaller table), in addition to the returned list; past the 2^32 - 1
-    ceiling of smallest_prime_factors it raises ValueError before
-    allocating.
+    The shared sieve table is sized to dmax when this is called, so every
+    squarefree test walks it and none factorizes.  That costs 4 bytes per
+    unit of dmax (up to twice that when it regrows a smaller table); past
+    the 2^32 - 1 ceiling of smallest_prime_factors it raises ValueError
+    before anything is tested or allocated.
     """
-    if lo > hi:
-        raise ValueError(f"empty range [{lo}, {hi}]")
-    smallest_prime_factors(max(abs(lo), abs(hi)))
-    return [d for d in range(lo, hi + 1) if d != 0 and is_fundamental_discriminant(d)]
+    smallest_prime_factors(dmax)
+    return (d for m in range(2, dmax + 1) for d in (-m, m) if is_fundamental_discriminant(d))
 
 
 @cache

@@ -13,11 +13,12 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass, replace
+from functools import cache
 from itertools import chain, islice
 
 # each runner imports the layers it uses when it starts, so a command
 # compiles and loads only those
-from .arith import is_fundamental_discriminant, smallest_prime_factors
+from .arith import fundamental_discriminants, smallest_prime_factors
 
 # far above any core count the enumeration can use; a larger value is a
 # typo, and each worker is a process with its own sieve
@@ -172,11 +173,16 @@ def _pieces(results, line, sep: str):
 
 
 def _json_row(row) -> str:
-    # a row dumped alone sits one level shallower than in the list; json
-    # is imported here, so the CSV reports never load it
+    # a row dumped alone sits one level shallower than in the list
+    return "  " + _json_encoder().encode(row).replace("\n", "\n  ")
+
+
+@cache
+def _json_encoder():
+    # one for every row, made at the first, so CSV reports never load json
     import json
 
-    return "  " + json.dumps(row, indent=2).replace("\n", "\n  ")
+    return json.JSONEncoder(indent=2)
 
 
 def _csv_cell(value) -> str:
@@ -192,27 +198,18 @@ def _csv_cell(value) -> str:
 
 
 def _scope(config: RunConfig, *exclude: int):
-    # yielded in (|d|, d) order, with no list of the range held
+    # in (|d|, d) order, with no list of the range held
     if config.d is not None:
-        yield config.d
-        return
-    # sized first, so every test walks the table, and a dmax past its
-    # ceiling raises before anything is tested or allocated
-    smallest_prime_factors(config.dmax)
-    for m in range(2, config.dmax + 1):
-        for d in (-m, m):
-            if d not in exclude and is_fundamental_discriminant(d):
-                yield d
+        return [config.d]
+    return (d for d in fundamental_discriminants(config.dmax) if d not in exclude)
 
 
 def _run_classgroup(config: RunConfig):
-    from .quadforms import class_group, class_groups
+    from .quadforms import class_groups
 
-    groups = class_groups(config.dmax) if config.d is None else [class_group(config.d)]
-    for grp in groups:
+    for grp in class_groups(_scope(config)):
         divisors = "x".join(str(n) for n in grp.elementary_divisors) or "1"
-        d = grp.discriminant
-        yield {"D": d, "h": grp.order, "divisors": divisors, "narrow": grp.narrow}
+        yield {"D": grp.discriminant, "h": grp.order, "divisors": divisors, "narrow": grp.narrow}
 
 
 def _run_cubic_tab(config: RunConfig):
@@ -252,8 +249,8 @@ def _predictions(config: RunConfig):
         return predictions(config.ell, _scope(config, config.ell, -config.ell))
     if config.d is not None:
         return corollary5_predictions([config.d])
-    # each d also reads the class group of 5 d: a sieve that covers
-    # 5 dmax lets every fundamental discriminant test walk it
+    # each d also reads the class group of 5 d: a sieve sized to 5 dmax
+    # before the scope is made is built once, and every test walks it
     smallest_prime_factors(5 * config.dmax)
     return corollary5_predictions(d for d in _scope(config) if d % 5)
 
@@ -339,17 +336,19 @@ def run(config: RunConfig) -> int:
 
 def _write_out(path: str, text: str) -> None:
     # a regular file, or a new one, is written to a temporary file beside
-    # it that is then renamed over it, so a write that fails part-way
-    # leaves the old file, or none; a symlink is followed, and a device
-    # or a pipe such as /dev/stdout is written in place
+    # it, made with the old file's mode bits (under the umask), that is
+    # then renamed over it, so a write that fails part-way leaves the old
+    # file, or none; a symlink is followed, and a device or a pipe such
+    # as /dev/stdout is written in place
     target = os.path.realpath(path)
     if os.path.exists(target) and not os.path.isfile(target):
         with open(target, "w") as handle:
             handle.write(text)
         return
+    mode = os.stat(target).st_mode & 0o777 if os.path.exists(target) else 0o666
     temporary = f"{target}.{os.getpid()}.tmp"
     try:
-        with open(temporary, "w") as handle:
+        with open(os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, mode), "w") as handle:
             handle.write(text)
         os.replace(temporary, target)
     except BaseException:

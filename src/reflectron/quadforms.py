@@ -18,10 +18,11 @@ the reduced triples (a, b, c) with |disc| in the window, where at fixed
 discriminant through a mask of the wanted ones.  A walk costs O(hi)
 however wide its window is, so every route in takes its discriminants
 in (|d|, d) order and cuts them into windows by count: about
-2 sqrt(lo) discriminants each.  ell_ranks streams any such sequence,
-class_groups the whole range (O(dmax^(3/2)) in all), and class_group and
-ell_rank are the case of one discriminant, O(|d|); each holds the forms
-of one window at a time.
+2 sqrt(lo) discriminants each.  class_groups and ell_ranks stream any
+such sequence, such as the whole range arith.fundamental_discriminants
+yields (O(dmax^(3/2)) in all), and class_group and ell_rank are the case
+of one discriminant, O(|d|); each holds the forms of one window at a
+time.
 
 Group structure comes from the class number h where h decides it: a
 prime q with q || h gives the q-part Z/q, since a group of order q is
@@ -41,14 +42,7 @@ from dataclasses import dataclass
 from itertools import chain, compress
 from math import isqrt
 
-from .arith import (
-    distinct_prime_factors,
-    factorize,
-    fundamental_discriminants_in,
-    is_fundamental_discriminant,
-    is_prime,
-    smallest_prime_factors,
-)
+from .arith import distinct_prime_factors, factorize, is_fundamental_discriminant, is_prime
 
 @dataclass(frozen=True)
 class QuadForm:
@@ -448,24 +442,13 @@ def class_group(d: int) -> ClassGroupStructure:
     return _structure(_group_for(d))
 
 
-def class_groups(dmax: int) -> Iterator[ClassGroupStructure]:
-    """class_group(d) for every fundamental d with 1 < |d| <= dmax, in
-    (|d|, d) order, from the walk ell_ranks makes.
+def class_groups(discs: Iterable[int]) -> Iterator[ClassGroupStructure]:
+    """class_group(d) for each d of discs, in their order, from the walk
+    ell_ranks makes; discs are read as ell_ranks reads them.
 
-    The shared sieve table is sized to dmax first, so a dmax past its
-    ceiling raises ValueError before anything is walked.  The
-    discriminants are listed isqrt(dmax) + 1 values of |d| at a time by
-    fundamental_discriminants_in, and the walk costs O(dmax^(3/2))."""
-    smallest_prime_factors(dmax)
-    width = isqrt(dmax) + 1
-
-    def discs():
-        for lo in range(2, dmax + 1, width):
-            hi = min(dmax, lo + width - 1)
-            neg = fundamental_discriminants_in(-hi, -lo)
-            yield from sorted(neg + fundamental_discriminants_in(lo, hi), key=abs)
-
-    return map(_structure, _walk(discs()))
+    class_groups(arith.fundamental_discriminants(dmax)) yields every
+    class group with 1 < |d| <= dmax, in O(dmax^(3/2))."""
+    return map(_structure, _walk(discs))
 
 
 def ell_rank(d: int, ell: int) -> int:

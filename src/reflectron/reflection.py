@@ -254,9 +254,11 @@ def predictions(ell: int, Ds: Iterable[int]) -> Iterator[PredictionRecord]:
     Ds are read once, and must be fundamental discriminants in strictly
     increasing (|D|, D) order: their ell-ranks come from one
     quadforms.ell_ranks walk, which raises ValueError at one that is
-    not."""
+    not.  An ell that is not an odd prime raises ValueError even when
+    Ds is empty."""
     from .quadforms import ell_ranks
 
+    _check_ell(ell)
     Ds, scope = tee(Ds)
     for D, rank in zip(Ds, ell_ranks(scope, ell)):
         dl_count = _subgroups(ell, rank)

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from reflectron.arith import fundamental_discriminants_in
+from reflectron.arith import fundamental_discriminants
 from reflectron.cubicforms import count_N3, enumerate_cubic_fields
 from reflectron.fieldtables import compare_with_table, parse_field_table
 from reflectron.quadforms import class_group, ell_rank
@@ -39,8 +39,8 @@ def report(capsys, name, ok, detail=""):
 
 
 def scope(bound, *exclude):
-    for D in fundamental_discriminants_in(-bound, bound):
-        if abs(D) > 1 and D not in exclude:
+    for D in fundamental_discriminants(bound):
+        if D not in exclude:
             yield D
 
 

@@ -8,7 +8,7 @@ from reflectron.arith import (
     Factorization,
     distinct_prime_factors,
     factorize,
-    fundamental_discriminants_in,
+    fundamental_discriminants,
     is_fundamental_discriminant,
     is_prime,
     primes_up_to,
@@ -152,13 +152,23 @@ def test_fundamental_discriminant_matches_definition(d):
     assert is_fundamental_discriminant(d) == _fundamental_by_definition(d)
 
 
-def test_fundamental_discriminants_in():
-    got = fundamental_discriminants_in(-20, 20)
-    assert got == [-20, -19, -15, -11, -8, -7, -4, -3, 1, 5, 8, 12, 13, 17]
-    assert got == sorted(got)
-    assert 0 not in fundamental_discriminants_in(-1, 1)
-    with pytest.raises(ValueError):
-        fundamental_discriminants_in(5, 4)
+def test_fundamental_discriminants(monkeypatch):
+    assert list(fundamental_discriminants(20)) == [
+        -3, -4, 5, -7, -8, 8, -11, 12, 13, -15, 17, -19, -20
+    ]
+    assert list(fundamental_discriminants(1)) == []
+    assert list(fundamental_discriminants(2)) == []
+    assert list(fundamental_discriminants(3)) == [-3]
+    # each d is tested as it is read, not the range up front
+    tested = []
+    real = arith.is_fundamental_discriminant
+    monkeypatch.setattr(
+        arith, "is_fundamental_discriminant", lambda d: tested.append(d) or real(d)
+    )
+    stream = fundamental_discriminants(10**4)
+    assert tested == []
+    assert next(stream) == -3 and tested == [-2, 2, -3]
+    assert next(stream) == -4 and tested == [-2, 2, -3, 3, -4]
 
 
 @pytest.fixture
@@ -186,13 +196,31 @@ def test_factorize_reads_the_sieve_table(fresh_sieve):
         assert factorize(n).factors == _trial_factors(n), n
 
 
-def test_fundamental_discriminants_in_sizes_the_sieve(fresh_sieve):
-    expected = [d for d in range(-5000, 5001) if d != 0 and _fundamental_by_definition(d)]
+def test_fundamental_discriminants_sizes_the_sieve(fresh_sieve, monkeypatch):
+    # by definition, in (|d|, d) order
+    found = [d for d in range(-5000, 5001) if abs(d) > 1 and _fundamental_by_definition(d)]
+    expected = sorted(found, key=lambda d: (abs(d), d))
     assert len(arith._spf) == 0
-    assert fundamental_discriminants_in(-5000, 5000) == expected
+    # sized when the stream is made, before any d is tested
+    stream = fundamental_discriminants(5000)
     assert len(arith._spf) > 5000
+    calls = _count_factorize(monkeypatch, arith)
+    assert list(stream) == expected
+    assert calls == []
     smallest_prime_factors(40000)
-    assert fundamental_discriminants_in(-5000, 5000) == expected
+    assert list(fundamental_discriminants(5000)) == expected
+
+
+def test_fundamental_discriminants_past_the_sieve_ceiling(monkeypatch):
+    # 2^32 is refused when the stream is made: no table is built and no
+    # d is tested
+    def refuse(*args):
+        raise AssertionError("a sieve table was allocated or a d tested")
+
+    monkeypatch.setattr(arith, "array", refuse)
+    monkeypatch.setattr(arith, "is_fundamental_discriminant", refuse)
+    with pytest.raises(ValueError, match="sieve limit 4294967296 exceeds 4294967295"):
+        fundamental_discriminants(2**32)
 
 
 def _count_factorize(monkeypatch, *modules):
@@ -249,7 +277,7 @@ def test_scoped_checks_do_not_factor_once_the_sieve_covers_them(
 ):
     dmax = 300
     tab = enumerate_cubic_fields(27 * 100)
-    scope = [d for d in fundamental_discriminants_in(-dmax, dmax) if d != 1]
+    scope = list(fundamental_discriminants(dmax))
     # corollary5_predict(d) also reads the class group of 5 d
     smallest_prime_factors(5 * dmax)
     calls = _count_factorize(monkeypatch, arith, quadforms)

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import os
 import random
+import stat
 import subprocess
 import sys
 import time
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from reflectron import arith, cli, cubicforms, reflection
-from reflectron.arith import fundamental_discriminants_in
+from reflectron.arith import is_fundamental_discriminant
 from reflectron.cli import RunConfig, emit_report, main, run
 from reflectron.cubicforms import count_N3, enumerate_cubic_fields
 from reflectron.reflection import verify_on3
@@ -47,6 +48,8 @@ def run_main(capsys, argv):
         ["check-table", "--table", "x.csv", "--d", "-3"],
         ["check-table", "--table", "/no/such/file.csv", "--ell", "5", "--d", "-3"],
         ["classgroup", "--d", "-23", "--format", "xml"],
+        ["predict", "--ell", "4", "--dmax", "2"],
+        ["predict", "--ell", "9", "--dmax", "2"],
     ],
 )
 def test_bad_invocations_exit_1(capsys, argv):
@@ -288,11 +291,13 @@ def test_report_matches_the_benchmark_reference(capsys, monkeypatch, tmp_path, w
         ["classgroup", "--dmax", "300"],
         ["verify-on", "--dmax", "100", "--workers", "1"],
         ["corollary5", "--dmax", "300"],
+        ["predict", "--ell", "7", "--dmax", "300"],
+        ["check-table", "--table", str(FIXTURE), "--corollary5", "--dmax", "300"],
     ],
 )
 def test_scoped_commands_test_discriminants_off_the_sieve(capsys, monkeypatch, argv):
     # from an empty sieve, as in a fresh process: every fundamental
-    # discriminant test walks the table the command sizes, so the
+    # discriminant test walks the table the command sizes once, so the
     # squarefree path never factorizes
     monkeypatch.setattr(arith, "_spf", array("I"))
     monkeypatch.setattr(arith, "_primes", [])
@@ -300,9 +305,24 @@ def test_scoped_commands_test_discriminants_off_the_sieve(capsys, monkeypatch, a
     calls = []
     real = arith.factorize
     monkeypatch.setattr(arith, "factorize", lambda n: calls.append(n) or real(n))
+    # each build of the table starts from one array of a range
+    builds = []
+    real_array = arith.array
+
+    def counted_array(typecode, values):
+        if type(values) is range:
+            builds.append(len(values))
+        return real_array(typecode, values)
+
+    monkeypatch.setattr(arith, "array", counted_array)
     code, out = run_main(capsys, argv)
-    assert code == 0 and out
-    assert calls == []
+    # the fixture lists the fields of |d| <= 100 only, so check-table
+    # fails some of the rest
+    assert code == (2 if argv[0] == "check-table" else 0) and out
+    # the one factorization a run may make is of ell - 1, for the
+    # primitive root, and none if an earlier run cached it
+    assert calls in ([], [6] if argv[0] == "predict" else [])
+    assert len(builds) == 1
 
 
 def test_predict_factors_ell_minus_1_once(capsys, monkeypatch):
@@ -421,13 +441,31 @@ def test_out_through_a_symlink_replaces_its_target(capsys, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "report.csv"]
 
 
+@pytest.mark.parametrize("mode", [0o600, 0o640, None])
+def test_out_keeps_the_permission_bits_of_the_file_it_replaces(capsys, tmp_path, mode):
+    # a report is never more readable than the file it replaces, and a
+    # new one gets the umask default
+    _, out = run_main(capsys, ["classgroup", "--dmax", "50"])
+    path = tmp_path / "report.csv"
+    if mode is not None:
+        path.write_text("earlier report\n")
+        path.chmod(mode)
+    umask = os.umask(0o022)
+    try:
+        assert main(["classgroup", "--dmax", "50", "--out", str(path)]) == 0
+    finally:
+        os.umask(umask)
+    assert path.read_text() == out
+    assert stat.S_IMODE(path.stat().st_mode) == (0o644 if mode is None else mode)
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_verify_on_matches_one_full_tabulation(capsys, workers):
     # verify-on reads -27 D from a modulus-27 tabulation and the rest from
     # a dense one to 3 dmax; one full tabulation to 27 dmax is the reference
     full = enumerate_cubic_fields(27 * 400)
     expected = ["ell,D,N3_Dstar,N3_27D,rhs,verdict"]
-    scope = [d for d in fundamental_discriminants_in(-400, 400) if d not in (1, -3)]
+    scope = [d for d in range(-400, 401) if is_fundamental_discriminant(d) and d not in (1, -3)]
     for d in sorted(scope, key=lambda d: (abs(d), d)):
         report = verify_on3(d, full)
         first, second = report.lhs_terms

@@ -4,7 +4,7 @@ from math import isqrt
 import pytest
 
 import reflectron.quadforms as quadforms
-from reflectron.arith import fundamental_discriminants_in
+from reflectron.arith import fundamental_discriminants, is_fundamental_discriminant
 from reflectron.quadforms import (
     ClassGroupStructure,
     QuadForm,
@@ -77,7 +77,7 @@ def _searched_forms(d):
 
 def _report_order(lo, hi):
     # the fundamental d with lo <= |d| <= hi, d != 1, in (|d|, d) order
-    found = fundamental_discriminants_in(-hi, hi)
+    found = filter(is_fundamental_discriminant, range(-hi, hi + 1))
     return sorted((d for d in found if lo <= abs(d) and d != 1), key=lambda d: (abs(d), d))
 
 
@@ -113,11 +113,16 @@ def test_class_groups_match_windows_of_one():
     # class_groups walks windows of many discriminants; class_group walks
     # a window of one
     dmax = 3000
-    got = list(class_groups(dmax))
+    got = list(class_groups(fundamental_discriminants(dmax)))
     assert [g.discriminant for g in got] == _report_order(2, dmax)
     assert got == [class_group(d) for d in _report_order(2, dmax)]
-    assert list(class_groups(1)) == []
-    assert [g.discriminant for g in class_groups(8)] == [-3, -4, 5, -7, -8, 8]
+    assert list(class_groups(fundamental_discriminants(1))) == []
+    assert list(class_groups([])) == []
+    eight = class_groups(fundamental_discriminants(8))
+    assert [g.discriminant for g in eight] == [-3, -4, 5, -7, -8, 8]
+    # any stream in (|d|, d) order, as ell_ranks takes it
+    sparse = [d for d in _report_order(1000, dmax) if d % 7 == 3]
+    assert list(class_groups(iter(sparse))) == [class_group(d) for d in sparse]
 
 
 @pytest.mark.parametrize("ell", [3, 5, 7])
@@ -155,6 +160,8 @@ def test_streamed_ranks_reject_a_bad_sequence(discs):
     # (|d|, d) order; anything else raises before its group is built
     with pytest.raises(ValueError):
         list(ell_ranks(discs, 3))
+    with pytest.raises(ValueError):
+        list(class_groups(discs))
 
 
 def test_scholz_reflection_bounds_the_3_ranks():
@@ -164,7 +171,7 @@ def test_scholz_reflection_bounds_the_3_ranks():
     # class_groups alone, with no cubic form
     ranks = {
         g.discriminant: sum(n % 3 == 0 for n in g.elementary_divisors)
-        for g in class_groups(3000)
+        for g in class_groups(fundamental_discriminants(3000))
     }
     pairs = {}
     for D in ranks:
@@ -263,7 +270,7 @@ def test_class_group_rejects_bad_discriminants():
 
 
 def test_order_matches_reduced_form_count():
-    for d in fundamental_discriminants_in(-400, -3):
+    for d in filter(is_fundamental_discriminant, range(-400, -2)):
         assert class_group(d).order == len(_reduced_forms(d)), d
 
 
@@ -293,9 +300,7 @@ def test_ell_rank_validation():
 
 
 def test_ell_rank_matches_structure():
-    for d in fundamental_discriminants_in(-500, 500):
-        if d == 1:
-            continue
+    for d in fundamental_discriminants(500):
         divisors = class_group(d).elementary_divisors
         for ell in (3, 5, 7):
             assert ell_rank(d, ell) == sum(1 for n in divisors if n % ell == 0), (d, ell)
@@ -332,9 +337,7 @@ def test_group_law_on_representatives(d):
 def test_power_of_class_number_is_identity():
     # Lagrange, for both signs (every d > 0 representative here is the
     # first form the walk found in its cycle, which has a > 0)
-    for d in fundamental_discriminants_in(-1000, 1000):
-        if d == 1:
-            continue
+    for d in fundamental_discriminants(1000):
         grp = _group_for(d)
         h = len(grp.reps)
         for f in grp.reps:
@@ -350,9 +353,7 @@ def test_two_rank_matches_genus_theory():
     # table, which counts the rank by composition, is checked against it
     # at every D with 2 | h
     tabled = 0
-    for d in fundamental_discriminants_in(-2000, 2000):
-        if d == 1:
-            continue
+    for d in fundamental_discriminants(2000):
         divisors = class_group(d).elementary_divisors
         assert sum(1 for n in divisors if n % 2 == 0) == _omega(abs(d)) - 1, d
         grp = _group_for(d)
@@ -426,9 +427,7 @@ def test_class_group_matches_orders_found_by_composition():
     # an oracle that never builds a power table: class orders come from
     # repeated public compose, classes from is_equivalent
     needs_k2 = asymmetric_positive = 0
-    for d in fundamental_discriminants_in(-1000, 1000):
-        if d == 1:
-            continue
+    for d in fundamental_discriminants(1000):
         b = d % 2
         principal = QuadForm(1, b, (b * b - d) // 4)
         orders = [_order(f, principal) for f in _classes(d)]

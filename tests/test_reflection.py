@@ -1,7 +1,7 @@
 import pytest
 
 from reflectron import reflection
-from reflectron.arith import fundamental_discriminants_in
+from reflectron.arith import fundamental_discriminants, is_fundamental_discriminant
 from reflectron.cubicforms import enumerate_cubic_fields
 from reflectron.quadforms import ell_rank
 from reflectron.reflection import (
@@ -14,6 +14,7 @@ from reflectron.reflection import (
     fl_disc_from_conductor,
     mirror_disc,
     predict,
+    predictions,
     target_discs,
     verify_on3,
 )
@@ -26,8 +27,8 @@ def fd(r2, magnitude, degree):
 
 
 def _valid_discs(ell, bound):
-    for D in fundamental_discriminants_in(-bound, bound):
-        if D not in (1, ell, -ell):
+    for D in fundamental_discriminants(bound):
+        if D not in (ell, -ell):
             yield D
 
 
@@ -75,8 +76,10 @@ def test_classify_mirror_golden():
 def test_classify_mirror_round_trip():
     # |D| near 10^5 puts the magnitudes past 2^53 at ell = 7 and near
     # 10^30 away from 13 at ell = 13, out of reach of a float root
-    large = fundamental_discriminants_in(-(10**5) - 30, -(10**5) + 30)
-    large += fundamental_discriminants_in(10**5 - 30, 10**5 + 30)
+    large = [
+        *filter(is_fundamental_discriminant, range(-(10**5) - 30, -(10**5) + 31)),
+        *filter(is_fundamental_discriminant, range(10**5 - 30, 10**5 + 31)),
+    ]
     cases = [(ell, D) for ell in ELLS for D in _valid_discs(ell, 300)]
     cases += [(ell, D) for ell in (7, 13) for D in large]
     for ell, D in cases:
@@ -123,9 +126,7 @@ def test_count_dl_golden():
 
 def test_count_dl_matches_rank():
     for ell in (3, 5):
-        for D in fundamental_discriminants_in(-200, 200):
-            if D == 1:
-                continue
+        for D in fundamental_discriminants(200):
             r = ell_rank(D, ell)
             assert count_Dl(ell, D) == (ell**r - 1) // (ell - 1)
 
@@ -215,6 +216,14 @@ def test_predict_golden():
     assert seven.star_required and seven.g == 3
 
 
+@pytest.mark.parametrize("ell", [4, 9, 2, 1, -3])
+def test_predictions_check_ell_before_reading_the_scope(ell):
+    # an empty scope starts no class-group walk, so ell is checked first
+    with pytest.raises(ValueError, match="is not an odd prime"):
+        list(predictions(ell, []))
+    assert list(predictions(3, [])) == []
+
+
 def test_verify_on3_golden():
     tab = enumerate_cubic_fields(27 * 23, workers=2)
     report = verify_on3(-23, tab)
@@ -245,8 +254,8 @@ def test_verify_on3_validation():
 
 def test_verify_on3_agrees_with_class_groups():
     tab = enumerate_cubic_fields(27 * 30, workers=2)
-    for D in fundamental_discriminants_in(-30, 30):
-        if D in (1, -3):
+    for D in fundamental_discriminants(30):
+        if D == -3:
             continue
         report = verify_on3(D, tab)
         assert report.holds, D
