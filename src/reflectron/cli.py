@@ -351,9 +351,11 @@ def _write_out(path: str, text: str) -> None:
         with open(os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, mode), "w") as handle:
             handle.write(text)
         os.replace(temporary, target)
-    except BaseException:
+    except BaseException as err:
         if os.path.exists(temporary):
             os.unlink(temporary)
+        if isinstance(err, OSError) and err.filename == temporary:
+            raise OSError(err.errno, err.strerror, path) from None
         raise
 
 

@@ -14,11 +14,12 @@ Negative-discriminant classes are picked out by reduction against the
 real root, where each class carries exactly two reduced representatives
 swapped by the same mirror and the sign of b (then of d) breaks the
 tie.  Every bound and every counting decision is an exact integer
-test, with no floating point.  On both sides d runs only over the closed
-integer ranges on which the reduction tests and the discriminant bound
-hold, each cut found by one isqrt.  On the negative side b and c are
-bounded by integer forms of the root bounds, and c starts at the least
-value that |disc| > 3 a^2 f'(t)^2, at the real root t, leaves possible.
+test, with no floating point.  Both walks read disc off one quadratic
+in d, and run d only over the closed integer ranges where the
+reduction tests and the bound on disc hold, each end one isqrt.  On
+the negative side b and c are bounded by integer forms of the root
+bounds, and c starts at the least value that |disc| > 3 a^2 f'(t)^2,
+at the real root t, leaves possible.
 
 Each form the walks meet is then tested cheapest first, and the tests
 are terms of one AND, so their order cannot change a verdict:
@@ -155,6 +156,11 @@ def cubic_disc(f: CubicForm) -> int:
         - 4 * b**3 * d
         - 27 * a * a * d * d
     )
+
+
+def _disc_coefficients(a: int, b: int, c: int) -> tuple[int, int]:
+    # (B, C) with disc(a, b, c, d) = -27 a^2 d^2 + B d + C
+    return (18 * a * c - 4 * b * b) * b, (b * b - 4 * a * c) * c * c
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +368,12 @@ def _band(rad: int, B: int, k: int) -> tuple[int, int]:
     return -((s - B) // k), (B + s) // k
 
 
-def _without(
-    pieces: list[tuple[int, int]], lo: int, hi: int
-) -> list[tuple[int, int]]:
+def _disc_at_least(a: int, B: int, C: int, t: int) -> tuple[int, int]:
+    # d with disc >= t, as 108 a^2 (disc - t) = B^2 + 108 a^2 (C - t) - (54 a^2 d - B)^2
+    return _band(B * B + 108 * a * a * (C - t), B, 54 * a * a)
+
+
+def _without(pieces: list[tuple[int, int]], lo: int, hi: int) -> list[tuple[int, int]]:
     # the closed ranges in pieces less the closed range [lo, hi]
     if lo > hi:
         return pieces
@@ -380,11 +389,7 @@ def _without(
 def _real_d_ranges(a: int, b: int, c: int, xmax: int) -> list[tuple[int, int]]:
     # the disjoint closed d ranges, ascending, on which (a, b, c, d) has
     # a reduced Hessian |Q| <= P <= R, has b < 0 or b = 0 and d <= 0, and
-    # has disc <= xmax, for b <= 0 and P = b^2 - 3 a c > 0.  The first
-    # two are linear in d; 3 disc = 4 P R - Q^2 = -81 a^2 d^2 + L d + K,
-    # so with k = 162 a^2 and rad = L^2 + 324 a^2 (K - 3 xmax),
-    # 324 a^2 (3 disc - 3 xmax) = rad - (k d - L)^2 and disc > xmax on
-    # the open band (k d - L)^2 < rad
+    # has disc <= xmax, for b <= 0 and P = b^2 - 3 a c > 0
     P = b * b - 3 * a * c
     # |Q| = |bc - 9ad| <= P
     lo = -((P - b * c) // (9 * a))
@@ -398,10 +403,7 @@ def _real_d_ranges(a: int, b: int, c: int, xmax: int) -> list[tuple[int, int]]:
         hi = min(hi, 0)
     if lo > hi:
         return []
-    L = 6 * b * (3 * a * c - 2 * P)
-    K = (4 * P - b * b) * c * c
-    rad = L * L + 324 * a * a * (K - 3 * xmax)
-    return _without([(lo, hi)], *_band(rad - 1, L, 162 * a * a))
+    return _without([(lo, hi)], *_disc_at_least(a, *_disc_coefficients(a, b, c), xmax + 1))
 
 
 def _real_walk(xmax: int, a: int, modulus: int) -> array:
@@ -412,7 +414,7 @@ def _real_walk(xmax: int, a: int, modulus: int) -> array:
     rx = isqrt(xmax)
     spf = smallest_prime_factors(xmax // modulus)
     ta = 3 * a
-    na = 9 * a
+    ka = 27 * a * a
     bmax = 3 * a // 2 + isqrt(rx) + 2
     # the mirror (b, d) -> (-b, -d) keeps P, R and |Q|, and of the two
     # the one with b > 0, or b = 0 and d > 0, is never the least
@@ -426,20 +428,18 @@ def _real_walk(xmax: int, a: int, modulus: int) -> array:
             if not ranges:
                 continue
             rows = _rows(a, b, c)
+            B, C = _disc_coefficients(a, b, c)
             P = bb - ta * c
-            bc = b * c
             for lo, hi in ranges:
                 for d in range(lo, hi + 1):
-                    R = c * c - 3 * b * d
-                    Q = bc - na * d
-                    # 4 P R - Q^2 >= 3 P^2 >= 3, so disc >= 1
-                    disc = (4 * P * R - Q * Q) // 3
+                    # 3 disc = 4 P R - Q^2 >= 3 P^2 >= 3, so disc >= 1
+                    disc = C + (B - ka * d) * d
                     if not _is_field(a, b, c, d, rows, disc, modulus, spf):
                         continue
-                    # off the boundary |Q| = P or P = R the mirror is the
-                    # only other orbit member with a > 0 and a reduced
-                    # Hessian
-                    if (P == R or Q == P or Q == -P) and not _canonical_real(a, b, c, d):
+                    # off the boundary |Q| = P or P = R the mirror is the only
+                    # other orbit member with a > 0 and a reduced Hessian
+                    Q = b * c - 9 * a * d
+                    if (abs(Q) == P or P == c * c - 3 * b * d) and not _canonical_real(a, b, c, d):
                         continue
                     found.append(disc)
     return found
@@ -452,16 +452,11 @@ def _real_walk(xmax: int, a: int, modulus: int) -> array:
 def _d_ranges(a: int, b: int, c: int, xmax: int) -> list[tuple[int, int]]:
     # the disjoint closed d ranges, ascending, on which (a, b, c, d) is
     # reduced against its real root, has b < 0 or b = 0 and d < 0, and
-    # has -xmax <= disc < 0.  Since 108 a^2 (disc + x) = rad - (k d - B)^2
-    # with disc = -27 a^2 d^2 + B d + C, k = 54 a^2 and
-    # rad = B^2 + 108 a^2 (C + x), disc >= -x is a band in d
+    # has -xmax <= disc < 0
     if b > 0:
         return []
-    B = (18 * a * c - 4 * b * b) * b
-    C = (b * b - 4 * a * c) * c * c
-    k = 54 * a * a
-    rad = B * B + 108 * a * a * C
-    lo, hi = _band(rad + 108 * a * a * xmax, B, k)
+    B, C = _disc_coefficients(a, b, c)
+    lo, hi = _disc_at_least(a, B, C, -xmax)
     # the linear reduction tests a d < (a + b)^2 + c (a + b) and
     # a d > -((a - b)^2 + c (a - b))
     lo = max(lo, -((a - b) * (a - b + c)) // a + 1)
@@ -472,7 +467,7 @@ def _d_ranges(a: int, b: int, c: int, xmax: int) -> list[tuple[int, int]]:
         return []
     # less disc >= 0, then less d^2 - b d + a (c - a) <= 0, that is
     # (2 d - b)^2 <= b^2 - 4 a (c - a)
-    pieces = _without([(lo, hi)], *_band(rad, B, k))
+    pieces = _without([(lo, hi)], *_disc_at_least(a, B, C, 0))
     return _without(pieces, *_band(b * b - 4 * a * (c - a), b, 2))
 
 
@@ -505,6 +500,7 @@ def _complex_walk(xmax: int, a: int, modulus: int) -> array:
     umax = isqrt(isqrt(4 * xmax // 3)) + 1
     y = isqrt(xmax // 3) + 1
     cmax = 16 * a * a * xmax
+    ka = 27 * a * a
     bmax = a + umax
     for b in range(-bmax + bmax % step, 1, step):
         rad = b * b + 8 * (y - a * a)
@@ -522,15 +518,10 @@ def _complex_walk(xmax: int, a: int, modulus: int) -> array:
         while (4 * a * c + m - a * a) ** 3 <= cmax:
             ranges = _d_ranges(a, b, c, xmax)
             rows = _rows(a, b, c) if ranges else None
+            B, C = _disc_coefficients(a, b, c)
             for lo, hi in ranges:
                 for d in range(lo, hi + 1):
-                    disc = (
-                        18 * a * b * c * d
-                        + b * b * c * c
-                        - 4 * a * c**3
-                        - 4 * b**3 * d
-                        - 27 * a * a * d * d
-                    )
+                    disc = C + (B - ka * d) * d
                     if _is_field(a, b, c, d, rows, disc, modulus, spf):
                         found.append(disc)
             c += step

@@ -19,6 +19,7 @@ would conflate signatures in even degree.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import tee
@@ -83,7 +84,13 @@ def _reflected_disc(ell: int, D: int, k: int, degree: int) -> FieldDiscriminant:
     v = ell - 3 + k if D % ell == 0 and ell % 4 == 3 else ell - 2 + k
     # a fundamental D holds at most one factor of the odd prime ell
     away = abs(D) // ell if D % ell == 0 else abs(D)
-    return FieldDiscriminant(0 if D < 0 else half, ell**v * away**half, degree)
+    # a report prints no int >= 10^limit; 2^bits <= magnitude and log10(2) > 0.30102
+    limit = sys.get_int_max_str_digits()
+    bits = v * (ell.bit_length() - 1) + half * (away.bit_length() - 1)
+    magnitude = 0 if limit and 30102 * bits >= 100000 * limit else ell**v * away**half
+    if limit and (not magnitude or magnitude.bit_length() > 3 * limit and magnitude >= 10**limit):
+        raise ValueError(f"ell = {ell} and D = {D} give a discriminant of more than {limit} digits")
+    return FieldDiscriminant(0 if D < 0 else half, magnitude, degree)
 
 
 def mirror_disc(ell: int, D: int) -> FieldDiscriminant:

@@ -50,6 +50,8 @@ def run_main(capsys, argv):
         ["classgroup", "--d", "-23", "--format", "xml"],
         ["predict", "--ell", "4", "--dmax", "2"],
         ["predict", "--ell", "9", "--dmax", "2"],
+        ["predict", "--ell", "9999999967", "--d", "-4"],
+        ["predict", "--ell", "3001", "--d", "-4"],
     ],
 )
 def test_bad_invocations_exit_1(capsys, argv):
@@ -428,6 +430,15 @@ def test_an_out_file_write_that_fails_part_way_leaves_the_old_file(
     else:
         assert path.read_bytes() == earlier
     assert [p.name for p in tmp_path.iterdir()] == ([] if earlier is None else ["report.csv"])
+
+
+def test_out_in_a_missing_directory_names_the_path_given(capsys, tmp_path):
+    # the error names --out, not the temporary file made beside it
+    path = tmp_path / "missing" / "report.csv"
+    assert main(["classgroup", "--dmax", "5", "--out", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.rstrip().endswith(repr(str(path)))
+    assert not (tmp_path / "missing").exists()
 
 
 def test_out_through_a_symlink_replaces_its_target(capsys, tmp_path):

@@ -79,6 +79,9 @@ def test_hessian_syzygy_symbolically():
     assert sympy.expand(4 * p * r - q * q - 3 * disc) == 0
     g1 = 2 * b * p - 3 * a * q
     assert sympy.expand(4 * p**3 - g1**2 - 27 * disc * a * a) == 0
+    # the quadratic in d that both walks and both range cuts read
+    B, C = cubicforms._disc_coefficients(a, b, c)
+    assert sympy.expand(C + (B - 27 * a**2 * d) * d - disc) == 0
 
 
 def test_is_irreducible():

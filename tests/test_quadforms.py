@@ -153,14 +153,16 @@ def test_streamed_ranks_match_windows_of_one(ell):
 
 @pytest.mark.parametrize(
     "discs",
-    [[-3, 1], [-4, -3], [5, 5], [8, -8], [-3, -4, 45], [-3, 0], [1], [-12]],
+    [[-3, 1], [-4, -3], [5, 5], [8, -8], [-3, -4, 45], [-3, 0], [1], [-12], [0]],
 )
 def test_streamed_ranks_reject_a_bad_sequence(discs):
     # fundamental discriminants other than 1, strictly increasing in
-    # (|d|, d) order; anything else raises before its group is built
-    with pytest.raises(ValueError):
+    # (|d|, d) order; anything else raises before its group is built.
+    # 0 alone is named as not fundamental, not as out of order
+    match = "0 is not a fundamental discriminant" if discs == [0] else None
+    with pytest.raises(ValueError, match=match):
         list(ell_ranks(discs, 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=match):
         list(class_groups(discs))
 
 

@@ -1,7 +1,9 @@
+import sys
+
 import pytest
 
 from reflectron import reflection
-from reflectron.arith import fundamental_discriminants, is_fundamental_discriminant
+from reflectron.arith import fundamental_discriminants, is_fundamental_discriminant, is_prime
 from reflectron.cubicforms import enumerate_cubic_fields
 from reflectron.quadforms import ell_rank
 from reflectron.reflection import (
@@ -295,6 +297,27 @@ def test_corollary5_targets_are_pair_union():
             if d < 0
             else 5 * (count_Dl(5, d) + count_Dl(5, 5 * d)) + 2
         )
+
+
+def test_a_magnitude_past_the_printable_digits_is_refused():
+    # a report cannot print an int of more than sys.get_int_max_str_digits()
+    # digits, so exactly those magnitudes raise, naming ell and D; past
+    # the boundary (ell near 1283 at D = -4) and far past it, where the
+    # power is never taken, alike
+    limit = sys.get_int_max_str_digits()
+    printable = set()
+    for ell in [p for p in range(1201, 1402, 2) if is_prime(p)] + [3001]:
+        for D in (-4, 5, -3):
+            magnitude = ell ** (ell - 2) * abs(D) ** ((ell - 1) // 2)
+            printable.add(magnitude < 10**limit)
+            if magnitude < 10**limit:
+                assert mirror_disc(ell, D).magnitude == magnitude
+                continue
+            with pytest.raises(ValueError, match=f"ell = {ell} and D = {D} "):
+                mirror_disc(ell, D)
+    assert printable == {False, True}
+    with pytest.raises(ValueError, match="ell = 9999999967 and D = -4 "):
+        mirror_disc(9999999967, -4)
 
 
 def test_factored_magnitudes_are_exact():
