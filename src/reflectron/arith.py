@@ -83,13 +83,16 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _check_odd_prime(ell: int) -> None:
+    if ell % 2 == 0 or not is_prime(ell):
+        raise ValueError(f"{ell} is not an odd prime")
+
+
 def _brent_split(n: int) -> int:
     """A nontrivial factor of composite odd n.  Fixed start values keep
     the whole routine deterministic; the increment loop guarantees
     termination because some polynomial x^2 + c always finds a factor.
     """
-    if n % 2 == 0:
-        return 2
     for c in range(1, 1000):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
@@ -170,8 +173,6 @@ def factorize(n: int) -> Factorization:
         stack = [n] if n > 1 else []
         while stack:
             m = stack.pop()
-            if m == 1:
-                continue
             if is_prime(m):
                 exps[m] = exps.get(m, 0) + 1
                 continue
@@ -256,8 +257,7 @@ def fundamental_discriminants(dmax: int) -> Iterator[int]:
 def smallest_primitive_root(ell: int) -> int:
     """Least positive primitive root modulo an odd prime ell, found once
     per ell: a run of predictions at one ell factors ell - 1 only once."""
-    if ell % 2 == 0 or not is_prime(ell):
-        raise ValueError(f"{ell} is not an odd prime")
+    _check_odd_prime(ell)
     phi = ell - 1
     prime_divisors = [p for p, _ in factorize(phi).factors]
     for g in range(2, ell):

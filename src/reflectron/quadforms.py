@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from itertools import chain, compress
 from math import isqrt
 
-from .arith import distinct_prime_factors, factorize, is_fundamental_discriminant, is_prime
+from .arith import _check_odd_prime, distinct_prime_factors, factorize, is_fundamental_discriminant
 
 @dataclass(frozen=True)
 class QuadForm:
@@ -469,7 +469,6 @@ def ell_ranks(discs: Iterable[int], ell: int) -> Iterator[int]:
     ValueError before its group is built.  One walk per sign finds the
     reduced forms of a window of O(sqrt(|d|)) of them at a time, in
     O(|d|) whatever its width, and holds their forms alone."""
-    if ell < 3 or ell % 2 == 0 or not is_prime(ell):
-        raise ValueError("ell must be an odd prime")
+    _check_odd_prime(ell)
     for grp in _walk(discs):
         yield len(_q_parts(grp, ell))

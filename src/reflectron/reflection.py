@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import tee
 from typing import TYPE_CHECKING
 
-from .arith import is_fundamental_discriminant, is_prime, smallest_primitive_root
+from .arith import _check_odd_prime, is_fundamental_discriminant, smallest_primitive_root
 
 if TYPE_CHECKING:
     from .cubicforms import CubicTabulation
@@ -55,11 +55,6 @@ class FieldDiscriminant:
 
     def signed_value(self) -> int:
         return (-1) ** self.r2 * self.magnitude
-
-
-def _check_ell(ell: int) -> None:
-    if ell % 2 == 0 or not is_prime(ell):
-        raise ValueError(f"{ell} is not an odd prime")
 
 
 def _check_quadratic(D: int) -> None:
@@ -101,7 +96,7 @@ def mirror_disc(ell: int, D: int) -> FieldDiscriminant:
     the one tame case (ell | D with ell = 3 mod 4) where it drops to
     ell - 3.  The mirror field is totally real exactly when D < 0.
     """
-    _check_ell(ell)
+    _check_odd_prime(ell)
     _check_disc(ell, D)
     return _reflected_disc(ell, D, 0, ell - 1)
 
@@ -121,37 +116,26 @@ def _exact_root(n: int, k: int) -> int | None:
 def classify_mirror(F_disc: FieldDiscriminant, ell: int) -> int:
     """The fundamental discriminant whose mirror discriminant this is.
 
-    Inverts mirror_disc: the signature fixes the sign of D, the ell-adic
-    valuation selects between the ell | D and ell coprime shapes, and the
-    prime-to-ell part must be an exact (ell-1)/2 power.  When
+    Inverts mirror_disc: the prime-to-ell part of the magnitude must be
+    the (ell-1)/2 power of some root, and D is root or ell * root,
+    negative when the mirror field is totally real (r2 = 0).  A candidate
+    is accepted only when mirror_disc maps it back to F_disc, which also
+    settles the degree, the signature and the ell-adic valuation.  When
     ell = 1 mod 4 the discriminants D and ell*D share a mirror
     discriminant; the representative coprime to ell is returned.  Raises
     ValueError when no fundamental discriminant maps here.
     """
-    _check_ell(ell)
-    if F_disc.degree != ell - 1:
-        raise ValueError(f"degree {F_disc.degree} mirror fields do not exist for ell = {ell}")
-    half = (ell - 1) // 2
-    if F_disc.r2 == 0:
-        sign = -1
-    elif F_disc.r2 == half:
-        sign = 1
-    else:
-        raise ValueError(f"r2 = {F_disc.r2} matches neither mirror signature")
-    v, away = 0, F_disc.magnitude
+    _check_odd_prime(ell)
+    away = F_disc.magnitude
     while away % ell == 0:
-        v, away = v + 1, away // ell
-    root = _exact_root(away, half)
-    candidates = []
+        away //= ell
+    root = _exact_root(away, (ell - 1) // 2)
+    sign = -1 if F_disc.r2 == 0 else 1
     if root is not None:
-        if v == ell - 2:
-            candidates.append(sign * root)
-        if v == (ell - 2 if ell % 4 == 1 else ell - 3):
-            candidates.append(sign * ell * root)
-    for D in candidates:
-        if is_fundamental_discriminant(D) and D not in (1, ell, -ell):
-            if mirror_disc(ell, D) == F_disc:
-                return D
+        for D in (sign * root, sign * ell * root):
+            if is_fundamental_discriminant(D) and D not in (1, ell, -ell):
+                if mirror_disc(ell, D) == F_disc:
+                    return D
     raise ValueError(f"no fundamental discriminant has mirror discriminant {F_disc}")
 
 
@@ -160,7 +144,7 @@ def dl_disc(ell: int, D: int) -> FieldDiscriminant:
     quadratic resolvent Q(sqrt(D)): magnitude |D|^((ell-1)/2), totally
     real when D > 0 and r2 = (ell-1)/2 complex pairs when D < 0.
     """
-    _check_ell(ell)
+    _check_odd_prime(ell)
     _check_quadratic(D)
     half = (ell - 1) // 2
     return FieldDiscriminant(half if D < 0 else 0, abs(D) ** half, ell)
@@ -175,7 +159,7 @@ def count_Dl(ell: int, D: int) -> int:
     """
     from .quadforms import ell_rank
 
-    _check_ell(ell)
+    _check_odd_prime(ell)
     _check_quadratic(D)
     return _subgroups(ell, ell_rank(D, ell))
 
@@ -188,7 +172,7 @@ def _subgroups(ell: int, rank: int) -> int:
 def admissible_conductor_exponents(ell: int, D: int) -> set[int]:
     """Possible ell-adic conductor exponents for the cyclic degree-ell
     extensions of the mirror field that the correspondence produces."""
-    _check_ell(ell)
+    _check_odd_prime(ell)
     _check_disc(ell, D)
     if D % ell:
         return {0, 2}
@@ -215,16 +199,12 @@ def fl_disc_from_conductor(ell: int, D: int, k: int) -> FieldDiscriminant | None
 
 def target_discs(ell: int, D: int) -> tuple[FieldDiscriminant, FieldDiscriminant]:
     """The two Frobenius-side discriminants appearing on the right of
-    the identity, ordered by increasing ell-adic valuation."""
-    found = []
-    for k in sorted(admissible_conductor_exponents(ell, D)):
-        fd = fl_disc_from_conductor(ell, D, k)
-        if fd is not None:
-            found.append(fd)
-    # one admissible exponent drops out in the tame case, never two
-    if len(found) != 2:
-        raise ArithmeticError(f"({ell}, {D}) gives {len(found)} target discriminants, not 2")
-    return found[0], found[1]
+    the identity, ordered by increasing ell-adic valuation: those of
+    conductor exponent 0 and of the largest admissible exponent.  Built
+    straight from the valuation formula, not from fl_disc_from_conductor,
+    whose outputs they equal."""
+    top = max(admissible_conductor_exponents(ell, D))
+    return _reflected_disc(ell, D, 0, ell), _reflected_disc(ell, D, top, ell)
 
 
 @dataclass(frozen=True)
@@ -265,12 +245,11 @@ def predictions(ell: int, Ds: Iterable[int]) -> Iterator[PredictionRecord]:
     Ds is empty."""
     from .quadforms import ell_ranks
 
-    _check_ell(ell)
+    g = smallest_primitive_root(ell)  # checks ell
     Ds, scope = tee(Ds)
     for D, rank in zip(Ds, ell_ranks(scope, ell)):
         dl_count = _subgroups(ell, rank)
         lhs = dl_count if D < 0 else ell * dl_count + 1
-        g = smallest_primitive_root(ell)
         yield PredictionRecord(ell, D, g, dl_count, lhs, target_discs(ell, D), ell >= 7)
 
 
@@ -301,8 +280,7 @@ def verify_on3(
     """
     from .cubicforms import count_N3
 
-    if not is_fundamental_discriminant(D) or D in (1, -3):
-        raise ValueError(f"D = {D} is outside the identity's range")
+    _check_disc(3, D)
     dstar = -3 * D if D % 3 else -D // 3
     first = count_N3(tab, dstar)
     second = count_N3(tab if tab27 is None else tab27, -27 * D)

@@ -6,6 +6,7 @@ import random
 import stat
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from array import array
@@ -450,6 +451,22 @@ def test_out_through_a_symlink_replaces_its_target(capsys, tmp_path):
     assert main(["classgroup", "--dmax", "50", "--out", str(link)]) == 0
     assert link.is_symlink() and target.read_text() == out
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "report.csv"]
+
+
+def test_out_to_a_pipe_writes_into_it(capsys, tmp_path):
+    # a FIFO is not a regular file, so the report is written into it, not
+    # renamed over it from a temporary file
+    _, out = run_main(capsys, ["classgroup", "--dmax", "50"])
+    fifo = tmp_path / "report.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert main(["classgroup", "--dmax", "50", "--out", str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive() and received == [out.encode()]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["report.fifo"]
 
 
 @pytest.mark.parametrize("mode", [0o600, 0o640, None])

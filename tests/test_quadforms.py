@@ -4,7 +4,11 @@ from math import isqrt
 import pytest
 
 import reflectron.quadforms as quadforms
-from reflectron.arith import fundamental_discriminants, is_fundamental_discriminant
+from reflectron.arith import (
+    fundamental_discriminants,
+    is_fundamental_discriminant,
+    smallest_primitive_root,
+)
 from reflectron.quadforms import (
     ClassGroupStructure,
     QuadForm,
@@ -18,6 +22,7 @@ from reflectron.quadforms import (
     is_equivalent,
     reduce,
 )
+from reflectron.reflection import predictions
 
 
 def _reduced_forms(d):
@@ -231,6 +236,8 @@ def test_compose_group_axioms():
     assert compose(a, b) == compose(b, a)
     c = QuadForm(2, -1, 6)
     assert compose(compose(a, b), c) == compose(a, compose(b, c))
+    with pytest.raises(ValueError, match="different discriminants"):
+        compose(g, a)
 
 
 def test_is_equivalent():
@@ -295,8 +302,13 @@ def test_ell_rank():
 
 def test_ell_rank_validation():
     for ell in (2, 4, 9):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="is not an odd prime"):
             ell_rank(-23, ell)
+    # the other entry points that take ell refuse it with the same message
+    with pytest.raises(ValueError, match="9 is not an odd prime"):
+        smallest_primitive_root(9)
+    with pytest.raises(ValueError, match="9 is not an odd prime"):
+        list(predictions(9, []))
     with pytest.raises(ValueError):
         ell_rank(45, 3)
 

@@ -2,7 +2,6 @@ import sys
 
 import pytest
 
-from reflectron import reflection
 from reflectron.arith import fundamental_discriminants, is_fundamental_discriminant, is_prime
 from reflectron.cubicforms import enumerate_cubic_fields
 from reflectron.quadforms import ell_rank
@@ -197,13 +196,6 @@ def test_targets_translate_at_ell_3():
         lo, hi = target_discs(3, D)
         assert lo.signed_value() == dstar, D
         assert hi.signed_value() == -27 * D, D
-
-
-def test_target_discs_rejects_a_third_target(monkeypatch):
-    # conductor exponents 0, 2, 4 would all yield fields at (5, -47)
-    monkeypatch.setattr(reflection, "admissible_conductor_exponents", lambda ell, D: {0, 2, 4})
-    with pytest.raises(ArithmeticError, match="3 target discriminants"):
-        target_discs(5, -47)
 
 
 def test_predict_golden():
