@@ -21,12 +21,7 @@ _MODULES = {
     "is_fundamental_discriminant": "arith",
     "is_prime": "arith",
     "smallest_primitive_root": "arith",
-    "QuadForm": "quadforms",
     "ClassGroupStructure": "quadforms",
-    "form_discriminant": "quadforms",
-    "reduce": "quadforms",
-    "compose": "quadforms",
-    "is_equivalent": "quadforms",
     "class_group": "quadforms",
     "class_groups": "quadforms",
     "ell_rank": "quadforms",
@@ -44,7 +39,6 @@ _MODULES = {
     "Corollary5Report": "reflection",
     "mirror_disc": "reflection",
     "classify_mirror": "reflection",
-    "dl_disc": "reflection",
     "count_Dl": "reflection",
     "admissible_conductor_exponents": "reflection",
     "fl_disc_from_conductor": "reflection",

@@ -45,24 +45,6 @@ from math import isqrt
 from .arith import _check_odd_prime, distinct_prime_factors, factorize, is_fundamental_discriminant
 
 @dataclass(frozen=True)
-class QuadForm:
-    a: int
-    b: int
-    c: int
-
-    def __post_init__(self) -> None:
-        d = self.b * self.b - 4 * self.a * self.c
-        if d == 0:
-            raise ValueError("degenerate form: discriminant 0")
-        if d % 4 not in (0, 1):
-            raise ValueError("discriminant must be 0 or 1 mod 4")
-        if d < 0 and self.a <= 0:
-            raise ValueError("definite forms must be positive definite (a > 0)")
-        if d > 0 and isqrt(d) ** 2 == d:
-            raise ValueError("degenerate form: square discriminant")
-
-
-@dataclass(frozen=True)
 class ClassGroupStructure:
     discriminant: int
     elementary_divisors: tuple[int, ...]
@@ -74,10 +56,6 @@ class ClassGroupStructure:
         for d in self.elementary_divisors:
             h *= d
         return h
-
-
-def form_discriminant(f: QuadForm) -> int:
-    return f.b * f.b - 4 * f.a * f.c
 
 
 # ---------------------------------------------------------------------------
@@ -132,19 +110,6 @@ def _reduce_indef(a: int, b: int, c: int, d: int) -> tuple[int, int, int]:
     raise ArithmeticError(f"reduction did not terminate for ({a}, {b}, {c})")
 
 
-def reduce(f: QuadForm) -> QuadForm:
-    """A reduced representative of f's proper equivalence class.
-
-    Unique for negative discriminant; for positive discriminant one
-    member of the class's reduction cycle (the cycle, not any single
-    form, is the class invariant there).
-    """
-    d = form_discriminant(f)
-    if d < 0:
-        return QuadForm(*_reduce_def(f.a, f.b, f.c))
-    return QuadForm(*_reduce_indef(f.a, f.b, f.c, d))
-
-
 def _cycle(a: int, b: int, c: int, d: int) -> list[tuple[int, int, int]]:
     # full rho-cycle through a reduced indefinite form
     rd = isqrt(d)
@@ -191,25 +156,6 @@ def _compose_raw(
     a3 = a1 * a2 // (g * g)
     b3 = (u * a1 * b2 + v * a2 * b1 + w * (b1 * b2 + d) // 2) // g % (2 * abs(a3))
     return a3, b3, (b3 * b3 - d) // (4 * a3)
-
-
-def compose(f: QuadForm, g: QuadForm) -> QuadForm:
-    """Gauss composition of proper equivalence classes, reduced."""
-    d = form_discriminant(f)
-    if form_discriminant(g) != d:
-        raise ValueError("cannot compose forms of different discriminants")
-    return reduce(QuadForm(*_compose_raw((f.a, f.b, f.c), (g.a, g.b, g.c), d)))
-
-
-def is_equivalent(f: QuadForm, g: QuadForm) -> bool:
-    """Proper (SL2) equivalence test."""
-    d = form_discriminant(f)
-    if form_discriminant(g) != d:
-        raise ValueError("forms have different discriminants")
-    fr, gr = reduce(f), reduce(g)
-    if d < 0:
-        return fr == gr
-    return (gr.a, gr.b, gr.c) in _cycle(fr.a, fr.b, fr.c, d)
 
 
 # ---------------------------------------------------------------------------

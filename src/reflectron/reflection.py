@@ -66,7 +66,7 @@ def _check_disc(ell: int, D: int) -> None:
     # the identities and the mirror construction exclude the trivial
     # discriminant and the quadratic field of conductor ell itself
     _check_quadratic(D)
-    if D in (ell, -ell):
+    if abs(D) == ell:
         raise ValueError(f"D = {D} is excluded for ell = {ell}")
 
 
@@ -139,17 +139,6 @@ def classify_mirror(F_disc: FieldDiscriminant, ell: int) -> int:
     raise ValueError(f"no fundamental discriminant has mirror discriminant {F_disc}")
 
 
-def dl_disc(ell: int, D: int) -> FieldDiscriminant:
-    """Discriminant shared by every dihedral degree-ell field with
-    quadratic resolvent Q(sqrt(D)): magnitude |D|^((ell-1)/2), totally
-    real when D > 0 and r2 = (ell-1)/2 complex pairs when D < 0.
-    """
-    _check_odd_prime(ell)
-    _check_quadratic(D)
-    half = (ell - 1) // 2
-    return FieldDiscriminant(half if D < 0 else 0, abs(D) ** half, ell)
-
-
 def count_Dl(ell: int, D: int) -> int:
     """Number of dihedral degree-ell fields with resolvent Q(sqrt(D)).
 
@@ -174,6 +163,11 @@ def admissible_conductor_exponents(ell: int, D: int) -> set[int]:
     extensions of the mirror field that the correspondence produces."""
     _check_odd_prime(ell)
     _check_disc(ell, D)
+    return _conductor_exponents(ell, D)
+
+
+def _conductor_exponents(ell: int, D: int) -> set[int]:
+    # admissible_conductor_exponents for an ell and a D already checked
     if D % ell:
         return {0, 2}
     if ell % 4 == 1:
@@ -203,7 +197,14 @@ def target_discs(ell: int, D: int) -> tuple[FieldDiscriminant, FieldDiscriminant
     conductor exponent 0 and of the largest admissible exponent.  Built
     straight from the valuation formula, not from fl_disc_from_conductor,
     whose outputs they equal."""
-    top = max(admissible_conductor_exponents(ell, D))
+    _check_odd_prime(ell)
+    _check_disc(ell, D)
+    return _targets(ell, D)
+
+
+def _targets(ell: int, D: int) -> tuple[FieldDiscriminant, FieldDiscriminant]:
+    # target_discs for an ell and a D already checked
+    top = max(_conductor_exponents(ell, D))
     return _reflected_disc(ell, D, 0, ell), _reflected_disc(ell, D, top, ell)
 
 
@@ -247,10 +248,13 @@ def predictions(ell: int, Ds: Iterable[int]) -> Iterator[PredictionRecord]:
 
     g = smallest_primitive_root(ell)  # checks ell
     Ds, scope = tee(Ds)
+    # the walk checks each D; only the exclusion of _check_disc is left
     for D, rank in zip(Ds, ell_ranks(scope, ell)):
+        if abs(D) == ell:
+            raise ValueError(f"D = {D} is excluded for ell = {ell}")
         dl_count = _subgroups(ell, rank)
         lhs = dl_count if D < 0 else ell * dl_count + 1
-        yield PredictionRecord(ell, D, g, dl_count, lhs, target_discs(ell, D), ell >= 7)
+        yield PredictionRecord(ell, D, g, dl_count, lhs, _targets(ell, D), ell >= 7)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
 import io
+import json
 import random
 from pathlib import Path
 
 import pytest
 
 from reflectron.arith import fundamental_discriminants
+from reflectron.cli import main
+from reflectron.cubicforms import enumerate_cubic_fields
 from reflectron.fieldtables import (
     FieldTableEntry,
     TableComparison,
@@ -17,6 +20,7 @@ from reflectron.reflection import (
     FieldDiscriminant,
     corollary5_predict,
     predict,
+    predictions,
 )
 
 FIXTURE = Path(__file__).parent / "data" / "f5_synthetic.csv"
@@ -350,3 +354,61 @@ def test_each_comparison_matches_a_linear_scan_per_prediction():
         assert got == _until_error(scan), trial
         outcomes.add("empty" if not entries else type(got[-1]).__name__)
     assert outcomes == {"empty", "TableComparison", "str"}
+
+
+def _cubic_field_table(dmax):
+    # one row per cubic field with |disc| <= 27 dmax, as the enumerator
+    # finds them: every target of predictions(3, D) for |D| <= dmax
+    rows = ["label,degree,r2,disc,galois"]
+    for disc, count in enumerate_cubic_fields(27 * dmax).items():
+        r2 = 0 if disc > 0 else 1
+        label = f"3.{3 - 2 * r2}.{abs(disc)}"
+        rows += [f"{label}.{i},3,{r2},{abs(disc)},S3" for i in range(1, count + 1)]
+    return rows
+
+
+def test_ell_3_predictions_reconcile_with_the_cubic_enumeration():
+    # the cubic case of the identity, closed in one process: class groups
+    # predict, the cubic enumerator supplies the table, and every row of
+    # the reconciliation is exact and passes
+    dmax = 200
+    entries = parse_field_table("\n".join(_cubic_field_table(dmax)) + "\n")
+    scope = (D for D in fundamental_discriminants(dmax) if D != -3)
+    rows = list(compare_each_with_table(predictions(3, scope), entries))
+    assert len(rows) == sum(1 for D in fundamental_discriminants(dmax)) - 1
+    assert {(row.mode, row.verdict) for row in rows} == {("exact", "pass")}
+    assert sum(row.expected for row in rows) > 10
+
+
+def test_ell_3_table_with_a_field_dropped_or_added_fails(capsys, tmp_path):
+    dmax = 200
+    lines = _cubic_field_table(dmax)
+    scope = (D for D in fundamental_discriminants(dmax) if D != -3)
+    pred = next(p for p in predictions(3, scope) if p.dl_count)
+    targets = [fd.signed_value() for fd in pred.targets]
+    hosted = next(
+        line
+        for line in lines[1:]
+        if any(line.endswith(f",{fd.r2},{fd.magnitude},S3") for fd in pred.targets)
+    )
+    table = tmp_path / "cubic.csv"
+    argv = ["check-table", "--table", str(table), "--ell", "3", "--dmax", str(dmax)]
+
+    table.write_text("\n".join(line for line in lines if line != hosted) + "\n")
+    assert main(argv) == 2
+    rows = json.loads(capsys.readouterr().out)
+    assert [(row["D"], row["verdict"]) for row in rows if row["verdict"] != "pass"] == [
+        (pred.D, "fail")
+    ]
+    failed = next(row for row in rows if row["D"] == pred.D)
+    assert failed["observed"] == failed["expected"] - 1
+    assert failed["missing"] == targets
+
+    fd = pred.targets[1]
+    table.write_text("\n".join(lines + [f"extra,3,{fd.r2},{fd.magnitude},S3"]) + "\n")
+    assert main(argv) == 2
+    rows = json.loads(capsys.readouterr().out)
+    failed = [row for row in rows if row["verdict"] != "pass"]
+    assert [row["D"] for row in failed] == [pred.D]
+    assert failed[0]["observed"] == failed[0]["expected"] + 1
+    assert "extra" in failed[0]["surplus"] and failed[0]["missing"] == []

@@ -1,5 +1,5 @@
 import random
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
@@ -11,16 +11,16 @@ from reflectron.arith import (
 )
 from reflectron.quadforms import (
     ClassGroupStructure,
-    QuadForm,
+    _compose_raw,
+    _cycle,
     _group_for,
+    _is_reduced_indef,
+    _reduce_def,
+    _reduce_indef,
     class_group,
     class_groups,
-    compose,
     ell_rank,
     ell_ranks,
-    form_discriminant,
-    is_equivalent,
-    reduce,
 )
 from reflectron.reflection import predictions
 
@@ -191,65 +191,52 @@ def test_scholz_reflection_bounds_the_3_ranks():
     assert set(pairs.values()) == {0, 1}
 
 
-def test_quadform_validation():
-    with pytest.raises(ValueError):
-        QuadForm(1, 0, 0)  # discriminant 0
-    with pytest.raises(ValueError):
-        QuadForm(1, 3, 2)  # square discriminant 1 factors over Q
-    with pytest.raises(ValueError):
-        QuadForm(-1, 0, -1)  # negative definite orientation
-    with pytest.raises(ValueError):
-        QuadForm(2, 4, 2)  # discriminant 0
-    assert form_discriminant(QuadForm(1, 1, 6)) == -23
-    assert form_discriminant(QuadForm(1, 1, -1)) == 5
-
-
 def test_reduce_definite():
-    assert reduce(QuadForm(2, -1, 3)) == QuadForm(2, -1, 3)
-    f = reduce(QuadForm(6, 11, 6))
-    assert form_discriminant(f) == -23
-    assert (-f.a < f.b <= f.a <= f.c) and (f.b >= 0 or (f.a != f.c and f.b != f.a))
+    assert _reduce_def(2, -1, 3) == (2, -1, 3)
+    a, b, c = _reduce_def(6, 11, 6)
+    assert b * b - 4 * a * c == -23
+    assert (-a < b <= a <= c) and (b >= 0 or (a != c and b != a))
     # boundary normalizations pick the nonnegative b representative
-    assert reduce(QuadForm(3, -3, 5)) == QuadForm(3, 3, 5)
-    assert reduce(QuadForm(2, -1, 2)) == QuadForm(2, 1, 2)
+    assert _reduce_def(3, -3, 5) == (3, 3, 5)
+    assert _reduce_def(2, -1, 2) == (2, 1, 2)
 
 
 def test_reduce_indefinite_lands_in_cycle():
-    f = reduce(QuadForm(1, 13, -9))  # discriminant 205
-    d = form_discriminant(f)
-    assert d == 205
-    assert 0 < f.b and f.b * f.b < d
-    assert (2 * abs(f.a) - f.b) ** 2 < d < (2 * abs(f.a) + f.b) ** 2
+    d = 13 * 13 + 4 * 9  # (1, 13, -9)
+    a, b, c = _reduce_indef(1, 13, -9, d)
+    assert b * b - 4 * a * c == d == 205
+    assert _is_reduced_indef(a, b, c, d)
+    assert 0 < b and b * b < d
+    assert (2 * abs(a) - b) ** 2 < d < (2 * abs(a) + b) ** 2
 
 
 def test_compose_group_axioms():
-    g = QuadForm(2, 1, 3)  # order 3 class of discriminant -23
-    e = QuadForm(1, 1, 6)
-    assert compose(e, g) == reduce(g)
-    assert compose(g, QuadForm(2, -1, 3)) == e
-    gg = compose(g, g)
-    assert gg == QuadForm(2, -1, 3)
-    assert compose(gg, g) == e
+    g = (2, 1, 3)  # order 3 class of discriminant -23
+    e = (1, 1, 6)
+    assert _reduced_product(e, g, -23) == _reduce_def(*g)
+    assert _reduced_product(g, (2, -1, 3), -23) == e
+    gg = _reduced_product(g, g, -23)
+    assert gg == (2, -1, 3)
+    assert _reduced_product(gg, g, -23) == e
     # commutativity and associativity on a bigger group
-    a = QuadForm(3, 1, 4)  # discriminant -47
-    b = QuadForm(2, 1, 6)
-    assert compose(a, b) == compose(b, a)
-    c = QuadForm(2, -1, 6)
-    assert compose(compose(a, b), c) == compose(a, compose(b, c))
-    with pytest.raises(ValueError, match="different discriminants"):
-        compose(g, a)
+    a, b, c = (3, 1, 4), (2, 1, 6), (2, -1, 6)  # discriminant -47
+    ab = _reduced_product(a, b, -47)
+    assert ab == _reduced_product(b, a, -47)
+    assert _reduced_product(ab, c, -47) == _reduced_product(a, _reduced_product(b, c, -47), -47)
 
 
 def test_is_equivalent():
-    assert is_equivalent(QuadForm(1, 1, 6), QuadForm(1, -1, 6))
-    assert not is_equivalent(QuadForm(1, 1, 6), QuadForm(2, 1, 3))
-    with pytest.raises(ValueError):
-        is_equivalent(QuadForm(1, 1, 6), QuadForm(1, 1, 1))  # different discriminants
+    # definite classes are equal exactly when their reductions are
+    assert _reduce_def(1, 1, 6) == _reduce_def(1, -1, 6)
+    assert _reduce_def(1, 1, 6) != _reduce_def(2, 1, 3)
     # indefinite equivalence must find unreduced translates via the cycle
-    f = QuadForm(1, 14, -6)  # discriminant 220, already reduced
-    translate = QuadForm(f.a, f.b + 2 * f.a, f.a + f.b + f.c)
-    assert is_equivalent(f, translate)
-    assert is_equivalent(translate, f)
+    d = 220
+    f = (1, 14, -6)  # already reduced
+    translate = (f[0], f[1] + 2 * f[0], f[0] + f[1] + f[2])
+    assert not _is_reduced_indef(*translate, d)
+    assert _reduce_indef(*f, d) == f
+    assert _reduce_indef(*translate, d) in _cycle(*f, d)
+    assert f in _cycle(*_reduce_indef(*translate, d), d)
 
 
 def test_class_group_golden():
@@ -392,20 +379,34 @@ def test_composition_does_not_factor(monkeypatch, d):
     assert len(calls) <= 1
 
 
+def _reduced_product(f, g, d):
+    # a reduced form of the class of f * g
+    h = _compose_raw(f, g, d)
+    return _reduce_def(*h) if d < 0 else _reduce_indef(*h, d)
+
+
+def _equivalent(f, g, d):
+    # proper equivalence: one reduction for d < 0, one reduction cycle
+    # for d > 0
+    if d < 0:
+        return _reduce_def(*f) == _reduce_def(*g)
+    return _reduce_indef(*g, d) in _cycle(*_reduce_indef(*f, d), d)
+
+
 def _classes(d):
     # one reduced form per proper equivalence class
     out = []
-    for f in map(lambda t: QuadForm(*t), _reduced_forms(d)):
-        if not any(is_equivalent(f, g) for g in out):
+    for f in _reduced_forms(d):
+        if not any(_equivalent(f, g, d) for g in out):
             out.append(f)
     return out
 
 
-def _order(f, principal):
+def _order(f, principal, d):
     # repeated composition until the principal class comes back
     x, k = f, 1
-    while not is_equivalent(x, principal):
-        x, k = compose(x, f), k + 1
+    while not _equivalent(x, principal, d):
+        x, k = _reduced_product(x, f, d), k + 1
     return k
 
 
@@ -438,13 +439,14 @@ def _divisors_from_orders(orders):
 
 
 def test_class_group_matches_orders_found_by_composition():
-    # an oracle that never builds a power table: class orders come from
-    # repeated public compose, classes from is_equivalent
+    # an oracle that never builds a power table or a _Group: class
+    # orders come from repeated composition and reduction, classes from
+    # reductions and reduction cycles
     needs_k2 = asymmetric_positive = 0
     for d in fundamental_discriminants(1000):
         b = d % 2
-        principal = QuadForm(1, b, (b * b - d) // 4)
-        orders = [_order(f, principal) for f in _classes(d)]
+        principal = (1, b, (b * b - d) // 4)
+        orders = [_order(f, principal, d) for f in _classes(d)]
         divisors = _divisors_from_orders(orders)
         assert class_group(d).elementary_divisors == divisors, d
         for ell in (3, 5, 7):
@@ -513,3 +515,22 @@ def test_power_tables_only_where_the_class_number_leaves_the_structure_open(
     # h = 16 with 2-rank 2 (-2980 = -4 * 5 * 149): Z/2 x Z/8 or Z/4 x Z/4
     assert tables(class_group, -2980) == 1
     assert class_group(-2980).elementary_divisors == (2, 8)
+
+
+def test_form_counts_at_non_fundamental_discriminants():
+    # an oracle for the walk past fundamental discriminants, with no
+    # class group built there: for d < -4 fundamental the primitive
+    # forms of discriminant d f^2 number h(d) f prod_{p | f} (1 - (d/p)/p)
+    # (Cox, Thm 7.24), and p = 3 alone divides f = 3, 9
+    scope = [d for d in _report_order(5, 3000) if d < 0]
+    pairs = 0
+    for grp in quadforms._walk(scope):
+        d, h = grp.d, len(grp.reps)
+        chi = (0, 1, -1)[d % 3]  # (d/3)
+        for f in (3, 9):
+            N = -d * f * f
+            forms = quadforms._definite_forms(N, N, b"\x01")[0]
+            primitive = sum(1 for a, b, c in forms if gcd(a, b, c) == 1)
+            assert primitive == h * f // 3 * (3 - chi), (d, f)
+            pairs += 1
+    assert pairs == 1818

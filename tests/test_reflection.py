@@ -11,7 +11,6 @@ from reflectron.reflection import (
     classify_mirror,
     corollary5_predict,
     count_Dl,
-    dl_disc,
     fl_disc_from_conductor,
     mirror_disc,
     predict,
@@ -101,17 +100,6 @@ def test_classify_mirror_fiber_prefers_coprime():
                 continue
             back = classify_mirror(mirror_disc(ell, D), ell)
             assert back * ell == D, (ell, D, back)
-
-
-def test_dl_disc_golden():
-    assert dl_disc(3, -23) == fd(1, 23, 3)
-    assert dl_disc(5, -11) == fd(2, 121, 5)
-    assert dl_disc(5, 229) == fd(0, 229 * 229, 5)
-    assert dl_disc(3, -3) == fd(1, 3, 3)  # fine here, only targets exclude it
-    with pytest.raises(ValueError):
-        dl_disc(3, 1)
-    with pytest.raises(ValueError):
-        dl_disc(3, -30)
 
 
 def test_count_dl_golden():
@@ -216,6 +204,36 @@ def test_predictions_check_ell_before_reading_the_scope(ell):
     with pytest.raises(ValueError, match="is not an odd prime"):
         list(predictions(ell, []))
     assert list(predictions(3, [])) == []
+
+
+def test_predictions_check_each_D_once(monkeypatch):
+    # the class-group walk tests each D, and smallest_primitive_root and
+    # ell_ranks test ell, so no target is built behind a check of its own
+    import reflectron.arith as arith
+    import reflectron.reflection as reflection
+
+    primes, fundamentals = [], []
+    real_prime, real_fundamental = arith.is_prime, reflection.is_fundamental_discriminant
+    monkeypatch.setattr(arith, "is_prime", lambda n: primes.append(n) or real_prime(n))
+    monkeypatch.setattr(
+        reflection,
+        "is_fundamental_discriminant",
+        lambda d: fundamentals.append(d) or real_fundamental(d),
+    )
+    counts = []
+    for dmax in (50, 2000):
+        scope = list(_valid_discs(7, dmax))
+        primes.clear()
+        arith.smallest_primitive_root.cache_clear()
+        assert len(list(predictions(7, scope))) == len(scope)
+        counts.append(len(primes))
+    # ell twice, by smallest_primitive_root and ell_ranks, whatever the scope
+    assert counts[0] == counts[1] and primes.count(7) == 2
+    assert fundamentals == []
+    with pytest.raises(ValueError, match="-5 is not a fundamental discriminant"):
+        list(predictions(5, [-5]))
+    with pytest.raises(ValueError, match="D = 5 is excluded for ell = 5"):
+        list(predictions(5, [5]))
 
 
 def test_verify_on3_golden():
