@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 # one of its names, so importing the package, or one module of it, loads
 # nothing else
 _MODULES = {
-    "Factorization": "arith",
     "factorize": "arith",
     "fundamental_discriminants": "arith",
     "is_fundamental_discriminant": "arith",

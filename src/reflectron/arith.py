@@ -5,8 +5,9 @@ point, no probabilistic answers left unverified): a shared
 smallest-prime-factor table handles the integers it covers, trial
 division the desk-scale ones past it, and a Brent-cycle split with fixed
 parameters any stray large cofactor, so repeated runs always agree.
-Squarefreeness, and with it every fundamental discriminant test, walks
-the same table with no Factorization for the integers it covers.
+factorize returns the sorted (p, e) pairs of |n|.  Squarefreeness, and
+with it every fundamental discriminant test, walks the same table with
+no factorization for the integers it covers.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import cache
 from math import gcd, isqrt
 
@@ -119,32 +119,9 @@ def _brent_split(n: int) -> int:
     raise ArithmeticError(f"cycle split failed for {n}")
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Signed integer as sign * product(p^e), factors sorted by prime."""
-
-    sign: int
-    factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        prev = 1
-        for p, e in self.factors:
-            if p <= prev:
-                raise ValueError("factors must be sorted by strictly increasing prime")
-            if e < 1:
-                raise ValueError("exponents must be >= 1")
-            prev = p
-
-    @classmethod
-    def from_exponents(cls, sign: int, exponents: dict[int, int]) -> "Factorization":
-        items = tuple(sorted((p, e) for p, e in exponents.items() if e != 0))
-        return cls(sign, items)
-
-
-def factorize(n: int) -> Factorization:
-    """Exact prime factorization of a nonzero integer.
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Exact prime factorization of a nonzero integer: the (p, e) pairs
+    of |n| = product(p^e), sorted by prime, each e >= 1.
 
     An |n| below the length of the shared sieve table is read off it,
     one smallest prime factor at a time; a larger one goes through
@@ -153,7 +130,6 @@ def factorize(n: int) -> Factorization:
     """
     if n == 0:
         raise ValueError("cannot factor 0")
-    sign = 1 if n > 0 else -1
     n = abs(n)
     exps: dict[int, int] = {}
     if n < len(_spf):
@@ -178,7 +154,7 @@ def factorize(n: int) -> Factorization:
                 continue
             g = _brent_split(m)
             stack.extend((g, m // g))
-    return Factorization.from_exponents(sign, exps)
+    return sorted(exps.items())
 
 
 def squarefree(n: int) -> bool:
@@ -193,7 +169,7 @@ def squarefree(n: int) -> bool:
         return False
     n = abs(n)
     if n >= len(_spf):
-        return all(e == 1 for _, e in factorize(n).factors)
+        return all(e == 1 for _, e in factorize(n))
     spf = _spf
     last = 1
     while n > 1:
@@ -211,7 +187,7 @@ def distinct_prime_factors(n: int) -> int:
     table covers |n|, and counted from factorize past it."""
     n = abs(n)
     if n >= len(_spf):
-        return len(factorize(n).factors)
+        return len(factorize(n))
     spf = _spf
     count, last = 0, 1
     while n > 1:
@@ -259,7 +235,7 @@ def smallest_primitive_root(ell: int) -> int:
     per ell: a run of predictions at one ell factors ell - 1 only once."""
     _check_odd_prime(ell)
     phi = ell - 1
-    prime_divisors = [p for p, _ in factorize(phi).factors]
+    prime_divisors = [p for p, _ in factorize(phi)]
     for g in range(2, ell):
         if all(pow(g, phi // q, ell) != 1 for q in prime_divisors):
             return g

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, replace
 from functools import cache
 from itertools import chain, islice
 
@@ -29,57 +28,6 @@ _MAX_WORKERS = 256
 _REPORT_CHUNK = 4096
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation: a command plus its bounds and IO options."""
-
-    command: str
-    dmax: int | None = None
-    xmax: int | None = None
-    ell: int | None = None
-    d: int | None = None
-    corollary5: bool = False
-    table: str | None = None
-    assume_complete_below: int | None = None
-    out: str | None = None
-    format: str | None = None
-    workers: int = 1
-
-    def __post_init__(self) -> None:
-        if self.command not in _COMMANDS:
-            raise ValueError(f"unknown command {self.command!r}")
-        # the inputs each command reads; the last four take exactly one
-        # of d (one discriminant) and dmax (a range)
-        if self.command == "cubic-tab":
-            if self.xmax is None:
-                raise ValueError("cubic-tab needs xmax")
-        elif self.command == "verify-on":
-            if self.dmax is None or self.d is not None:
-                raise ValueError("verify-on needs dmax and takes no d")
-        elif (self.d is None) == (self.dmax is None):
-            raise ValueError(f"{self.command} needs exactly one of d and dmax")
-        if self.command == "check-table" and self.table is None:
-            raise ValueError("check-table needs a table")
-        if self.command == "predict" and (self.ell is None or self.corollary5):
-            raise ValueError("predict needs --ell and takes no corollary5")
-        if self.command == "check-table" and self.ell is None and not self.corollary5:
-            raise ValueError("check-table needs --ell or --corollary5")
-        if self.command == "corollary5" and not self.corollary5:
-            raise ValueError("the corollary5 command needs corollary5 set")
-        if self.corollary5 and self.ell not in (None, 5):
-            raise ValueError("--corollary5 requires --ell 5")
-        if not 1 <= self.workers <= _MAX_WORKERS:
-            raise ValueError(
-                f"workers must be between 1 and {_MAX_WORKERS}, got {self.workers}"
-            )
-        for name in ("dmax", "xmax", "assume_complete_below"):
-            bound = getattr(self, name)
-            if bound is not None and bound < 1:
-                raise ValueError(f"{name} must be positive")
-        if self.format not in (None, "json", "csv"):
-            raise ValueError(f"unknown format {self.format!r}")
-
-
 class _UsageError(Exception):
     pass
 
@@ -91,7 +39,32 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _bounded(name: str, high: int | None = None):
+    # an argparse type for an int option from 1 to high, or with no upper
+    # bound when high is None, that refuses other values by the option's name
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < 1 or (high is not None and value > high):
+            bound = "positive" if high is None else f"between 1 and {high}, got {value}"
+            raise argparse.ArgumentTypeError(f"{name} must be {bound}")
+        return value
+
+    return convert
+
+
+def _path(text: str) -> str:
+    # an empty --out is refused, not read as no --out
+    if not text:
+        raise argparse.ArgumentTypeError("empty path")
+    return text
+
+
 def _build_parser() -> _Parser:
+    # the one declaration of each command's inputs; each subparser's
+    # defaults carry its runner, its CSV columns and its default format
     parser = _Parser(prog="reflectron", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -99,36 +72,62 @@ def _build_parser() -> _Parser:
         if scope:
             grp = p.add_mutually_exclusive_group(required=True)
             grp.add_argument("--d", type=int, help="single fundamental discriminant")
-            grp.add_argument("--dmax", type=int, help="all fundamental 1 < |D| <= dmax")
+            grp.add_argument(
+                "--dmax", type=_bounded("dmax"), help="all fundamental 1 < |D| <= dmax"
+            )
         if workers:
-            p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default=None)
+            p.add_argument("--workers", type=_bounded("workers", _MAX_WORKERS), default=1)
+        p.add_argument("--out", type=_path, help="output path (default stdout)")
+        p.add_argument("--format", choices=("json", "csv"))
 
     p = sub.add_parser("classgroup", help="class group structures")
+    p.set_defaults(runner=_run_classgroup, columns=["D", "h", "divisors", "narrow"], format="csv")
     common(p, scope=True)
 
     p = sub.add_parser("cubic-tab", help="tabulate cubic fields by discriminant")
-    p.add_argument("--xmax", type=int, required=True, help="tabulate |disc| <= xmax")
+    p.set_defaults(runner=_run_cubic_tab, columns=["disc", "count"], format="csv")
+    p.add_argument("--xmax", type=_bounded("xmax"), required=True, help="tabulate |disc| <= xmax")
     common(p, workers=True)
 
     p = sub.add_parser("verify-on", help="verify the cubic identity over a range")
-    p.add_argument("--dmax", type=int, required=True)
+    p.set_defaults(
+        runner=_run_verify_on,
+        columns=["ell", "D", "N3_Dstar", "N3_27D", "rhs", "verdict"],
+        format="csv",
+    )
+    p.add_argument("--dmax", type=_bounded("dmax"), required=True)
     common(p, workers=True)
 
     p = sub.add_parser("predict", help="evaluate the identity's left side and targets")
+    p.set_defaults(
+        runner=_run_predict,
+        columns=["ell", "D", "g", "dl_count", "lhs", "target1", "target2", "star_required"],
+        format="json",
+        corollary5=False,
+    )
     p.add_argument("--ell", type=int, required=True)
     common(p, scope=True)
 
     p = sub.add_parser("corollary5", help="the ell = 5 aggregate predictions")
-    p.set_defaults(ell=5, corollary5=True)
+    p.set_defaults(
+        runner=_run_predict,
+        columns=["ell", "D", "lhs", "target1", "target2", "target3"],
+        format="json",
+        ell=5,
+        corollary5=True,
+    )
     common(p, scope=True)
 
     p = sub.add_parser("check-table", help="reconcile predictions with a field table")
+    p.set_defaults(
+        runner=_run_check_table,
+        columns=["mode", "ell", "D", "expected", "observed", "verdict"],
+        format="json",
+    )
     p.add_argument("--table", required=True, help="CSV field table path")
     p.add_argument("--ell", type=int)
     p.add_argument("--corollary5", action="store_true")
-    p.add_argument("--assume-complete-below", type=int, default=None)
+    p.add_argument("--assume-complete-below", type=_bounded("assume_complete_below"))
     common(p, scope=True)
 
     return parser
@@ -197,38 +196,39 @@ def _csv_cell(value) -> str:
     return text
 
 
-def _scope(config: RunConfig, *exclude: int):
-    # in (|d|, d) order, with no list of the range held
-    if config.d is not None:
-        return [config.d]
-    return (d for d in fundamental_discriminants(config.dmax) if d not in exclude)
+def _scope(args: argparse.Namespace, *exclude: int):
+    # in (|d|, d) order, with no list of the range held; verify-on has
+    # --dmax and no --d
+    if args.dmax is None:
+        return [args.d]
+    return (d for d in fundamental_discriminants(args.dmax) if d not in exclude)
 
 
-def _run_classgroup(config: RunConfig):
+def _run_classgroup(args: argparse.Namespace):
     from .quadforms import class_groups
 
-    for grp in class_groups(_scope(config)):
+    for grp in class_groups(_scope(args)):
         divisors = "x".join(str(n) for n in grp.elementary_divisors) or "1"
         yield {"D": grp.discriminant, "h": grp.order, "divisors": divisors, "narrow": grp.narrow}
 
 
-def _run_cubic_tab(config: RunConfig):
+def _run_cubic_tab(args: argparse.Namespace):
     from .cubicforms import enumerate_cubic_fields
 
-    tab = enumerate_cubic_fields(config.xmax, workers=config.workers)
+    tab = enumerate_cubic_fields(args.xmax, workers=args.workers)
     for disc, count in tab.items():
         yield {"disc": disc, "count": count}
 
 
-def _run_verify_on(config: RunConfig):
+def _run_verify_on(args: argparse.Namespace):
     from .cubicforms import enumerate_cubic_fields
     from .reflection import verify_on3
 
     # |D*| <= 3 |D| and |D| <= dmax, so only -27 D lies past 3 dmax, and
     # the fields with 27 | disc are the ones the modulus-27 walk finds
-    low = enumerate_cubic_fields(3 * config.dmax, workers=config.workers)
-    high = enumerate_cubic_fields(27 * config.dmax, workers=config.workers, modulus=27)
-    for d in _scope(config, -3):
+    low = enumerate_cubic_fields(3 * args.dmax, workers=args.workers)
+    high = enumerate_cubic_fields(27 * args.dmax, workers=args.workers, modulus=27)
+    for d in _scope(args, -3):
         report = verify_on3(d, low, high)
         yield {
             "ell": 3,
@@ -240,25 +240,25 @@ def _run_verify_on(config: RunConfig):
         }
 
 
-def _predictions(config: RunConfig):
+def _predictions(args: argparse.Namespace):
     # one class-group walk for the whole scope, its ranks streamed in
     # scope order
     from .reflection import corollary5_predictions, predictions
 
-    if not config.corollary5:
-        return predictions(config.ell, _scope(config, config.ell, -config.ell))
-    if config.d is not None:
-        return corollary5_predictions([config.d])
+    if not args.corollary5:
+        return predictions(args.ell, _scope(args, args.ell, -args.ell))
+    if args.d is not None:
+        return corollary5_predictions([args.d])
     # each d also reads the class group of 5 d: a sieve sized to 5 dmax
     # before the scope is made is built once, and every test walks it
-    smallest_prime_factors(5 * config.dmax)
-    return corollary5_predictions(d for d in _scope(config) if d % 5)
+    smallest_prime_factors(5 * args.dmax)
+    return corollary5_predictions(d for d in _scope(args) if d % 5)
 
 
-def _run_predict(config: RunConfig):
+def _run_predict(args: argparse.Namespace):
     from .reflection import Corollary5Report
 
-    for pred in _predictions(config):
+    for pred in _predictions(args):
         targets = [{"r2": fd.r2, "disc": fd.signed_value()} for fd in pred.targets]
         if isinstance(pred, Corollary5Report):
             row = {"ell": 5, "D": pred.d, "lhs": pred.lhs_value, "targets": targets}
@@ -272,66 +272,29 @@ def _run_predict(config: RunConfig):
                 "targets": targets,
                 "star_required": pred.star_required,
             }
-        if config.format == "csv":
+        if args.format == "csv":
             for i, fd in enumerate(pred.targets, start=1):
                 row[f"target{i}"] = fd.signed_value()
         yield row
 
 
-def _run_check_table(config: RunConfig):
+def _run_check_table(args: argparse.Namespace):
     from .fieldtables import compare_each_with_table, parse_field_table
 
-    with open(config.table, newline="") as handle:
+    with open(args.table, newline="") as handle:
         entries = parse_field_table(handle)
-    bound = config.assume_complete_below
+    bound = args.assume_complete_below
     for comparison in compare_each_with_table(
-        _predictions(config), entries, assume_complete_below=bound
+        _predictions(args), entries, assume_complete_below=bound
     ):
         # the fields are in row order, and JSON writes the tuples as lists
         yield vars(comparison)
-
-
-# each command's runner, CSV columns and default format
-_COMMANDS = {
-    "classgroup": (_run_classgroup, ["D", "h", "divisors", "narrow"], "csv"),
-    "cubic-tab": (_run_cubic_tab, ["disc", "count"], "csv"),
-    "verify-on": (_run_verify_on, ["ell", "D", "N3_Dstar", "N3_27D", "rhs", "verdict"], "csv"),
-    "predict": (
-        _run_predict,
-        ["ell", "D", "g", "dl_count", "lhs", "target1", "target2", "star_required"],
-        "json",
-    ),
-    "corollary5": (_run_predict, ["ell", "D", "lhs", "target1", "target2", "target3"], "json"),
-    "check-table": (
-        _run_check_table,
-        ["mode", "ell", "D", "expected", "observed", "verdict"],
-        "json",
-    ),
-}
 
 
 def _noting_verdicts(rows, verdicts: set):
     for row in rows:
         verdicts.add(row.get("verdict"))
         yield row
-
-
-def run(config: RunConfig) -> int:
-    """Execute one command and write its report; returns the exit code,
-    2 when some row's verdict is "fail".
-
-    The rows stream into the report text, which is written only once it
-    is built in full, so a run that raises part-way writes nothing, and
-    --out replaces its file whole (see _write_out)."""
-    runner, columns, format = _COMMANDS[config.command]
-    config = replace(config, format=config.format or format)
-    verdicts: set = set()
-    text = emit_report(_noting_verdicts(runner(config), verdicts), config.format, columns)
-    if config.out:
-        _write_out(config.out, text)
-    else:
-        sys.stdout.write(text)
-    return 2 if "fail" in verdicts else 0
 
 
 def _write_out(path: str, text: str) -> None:
@@ -360,9 +323,30 @@ def _write_out(path: str, text: str) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Execute one command, from argv or else sys.argv[1:], and write its
+    report; returns the exit code, 1 on a bad invocation or IO and 2
+    when some row's verdict is "fail".
+
+    The rows stream into the report text, which is written only once it
+    is built in full, so a run that raises part-way writes nothing, and
+    --out replaces its file whole (see _write_out)."""
     try:
-        args = _build_parser().parse_args(argv)
-        return run(RunConfig(**vars(args)))
+        parser = _build_parser()
+        args = parser.parse_args(argv)
+        # the two rules between check-table's options that argparse
+        # cannot state
+        if args.command == "check-table":
+            if args.ell is None and not args.corollary5:
+                parser.error("check-table needs --ell or --corollary5")
+            if args.corollary5 and args.ell not in (None, 5):
+                parser.error("--corollary5 requires --ell 5")
+        verdicts: set = set()
+        text = emit_report(_noting_verdicts(args.runner(args), verdicts), args.format, args.columns)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            _write_out(args.out, text)
+        return 2 if "fail" in verdicts else 0
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1

@@ -313,8 +313,7 @@ def is_maximal(f: CubicForm) -> bool:
     a, b, c, d = f.a, f.b, f.c, f.d
     if gcd(gcd(a, b), gcd(c, d)) != 1:
         return False
-    factors = factorize(cubic_disc(f)).factors
-    return not any(_nonmax_at(a, b, c, d, p) for p, e in factors if e > 1)
+    return not any(_nonmax_at(a, b, c, d, p) for p, e in factorize(cubic_disc(f)) if e > 1)
 
 
 # ---------------------------------------------------------------------------

@@ -308,10 +308,6 @@ def _walk(discs: Iterable[int]) -> Iterator[_Group]:
         window.append(d)
 
 
-def _group_for(d: int) -> _Group:
-    return next(_walk([d]))
-
-
 def _log_int(n: int, q: int) -> int:
     out = 0
     while n > 1:
@@ -370,7 +366,7 @@ def _structure(grp: _Group) -> ClassGroupStructure:
     # q || h or genus theory settles q = 2, and one power table otherwise,
     # so no power is computed twice
     h = len(grp.reps)
-    primes = [q for q, _ in factorize(h).factors] if h > 1 else []
+    primes = [q for q, _ in factorize(h)] if h > 1 else []
     parts_per_prime = {q: _q_parts(grp, q) for q in primes}
     divisors = [1] * max(map(len, parts_per_prime.values()), default=0)
     for q, parts in parts_per_prime.items():
@@ -385,7 +381,7 @@ def class_group(d: int) -> ClassGroupStructure:
 
     The reduced forms come from the walk class_groups makes, over a
     window of the one discriminant |d|, which costs O(|d|)."""
-    return _structure(_group_for(d))
+    return next(class_groups([d]))
 
 
 def class_groups(discs: Iterable[int]) -> Iterator[ClassGroupStructure]:

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from reflectron import arith, quadforms
 from reflectron.arith import (
-    Factorization,
     distinct_prime_factors,
     factorize,
     fundamental_discriminants,
@@ -17,7 +16,7 @@ from reflectron.arith import (
     squarefree,
 )
 from reflectron.cubicforms import enumerate_cubic_fields
-from reflectron.quadforms import _group_for
+from reflectron.quadforms import _walk
 from reflectron.reflection import corollary5_predict, verify_on3
 
 
@@ -33,7 +32,7 @@ def test_smallest_prime_factors():
     spf = smallest_prime_factors(5000)
     assert len(spf) > 5000
     for n in range(2, 5001):
-        assert spf[n] == factorize(n).factors[0][0]
+        assert spf[n] == factorize(n)[0][0]
     # a larger request regrows the shared table; primes read off it agree
     assert len(smallest_prime_factors(10**5)) > 10**5
     assert len(primes_up_to(10**5)) == 9592
@@ -73,20 +72,19 @@ def test_is_prime_large():
     assert not is_prime(2**61 + 1)
 
 
-def _product(f):
-    out = f.sign
-    for p, e in f.factors:
+def _product(factors):
+    out = 1
+    for p, e in factors:
         out *= p**e
     return out
 
 
 def test_factorize_golden():
-    assert _product(factorize(1)) == 1 and factorize(1).factors == ()
-    assert factorize(-1).sign == -1
-    assert factorize(12).factors == ((2, 2), (3, 1))
-    assert factorize(-15125).factors == ((5, 3), (11, 2))
+    assert factorize(1) == [] and factorize(-1) == []
+    assert factorize(12) == [(2, 2), (3, 1)]
+    assert factorize(-15125) == [(5, 3), (11, 2)]
     big = 10**9 + 7
-    assert factorize(big * big * 2).factors == ((2, 1), (big, 2))
+    assert factorize(big * big * 2) == [(2, 1), (big, 2)]
 
 
 def test_factorize_rejects_zero():
@@ -96,20 +94,13 @@ def test_factorize_rejects_zero():
 
 @given(st.integers(min_value=-(10**6), max_value=10**6).filter(lambda n: n != 0))
 def test_factorize_roundtrip(n):
-    f = factorize(n)
-    assert _product(f) == n
-    for p, e in f.factors:
+    # the pairs of |n|, by strictly increasing prime, no exponent 0
+    factors = factorize(n)
+    assert _product(factors) == abs(n)
+    primes = [p for p, _ in factors]
+    assert primes == sorted(set(primes))
+    for p, e in factors:
         assert is_prime(p) and e >= 1
-
-
-def test_factorization_validation():
-    with pytest.raises(ValueError):
-        Factorization(0, ())
-    with pytest.raises(ValueError):
-        Factorization(1, ((3, 1), (2, 1)))  # out of order
-    with pytest.raises(ValueError):
-        Factorization(1, ((2, 0),))
-    assert Factorization.from_exponents(1, {3: 2, 2: 0}).factors == ((3, 2),)
 
 
 def test_squarefree():
@@ -130,7 +121,7 @@ def _trial_factors(n):
         p += 1
     if n > 1:
         out.append((n, 1))
-    return tuple(out)
+    return out
 
 
 def _squarefree_by_trial(n):
@@ -183,17 +174,16 @@ def test_factorize_reads_the_sieve_table(fresh_sieve):
     # from an empty table: small n read off the table the first factor
     # grows, the rest by trial division
     for n, factors in expected.items():
-        assert factorize(n).factors == factors, n
-        assert factorize(-n).factors == factors and factorize(-n).sign == -1, n
+        assert factorize(n) == factorize(-n) == factors, n
     assert 0 < len(arith._spf) <= 20000
     # once the table covers the range, every n is read off it
     smallest_prime_factors(20000)
     for n, factors in expected.items():
-        assert factorize(n).factors == factors, n
+        assert factorize(n) == factors, n
     # either side of the table's end
     end = len(arith._spf)
     for n in (end - 1, end, end + 1):
-        assert factorize(n).factors == _trial_factors(n), n
+        assert factorize(n) == _trial_factors(n), n
 
 
 def test_fundamental_discriminants_sizes_the_sieve(fresh_sieve, monkeypatch):
@@ -267,7 +257,7 @@ def test_distinct_prime_factors_matches_factorize(fresh_sieve, monkeypatch):
     # n = 1 and every other n on the table, then past it, of either sign
     for n in [*range(1, end), *past]:
         for m in (n, -n):
-            assert distinct_prime_factors(m) == len(factorize(m).factors), m
+            assert distinct_prime_factors(m) == len(factorize(m)), m
     # only the n past the table are factorized, as |n|, once per sign
     assert calls == [n for n in past for _ in range(2)]
 
@@ -282,7 +272,7 @@ def test_scoped_checks_do_not_factor_once_the_sieve_covers_them(
     smallest_prime_factors(5 * dmax)
     calls = _count_factorize(monkeypatch, arith, quadforms)
     for d in scope:
-        _group_for(d)
+        next(_walk([d]))
         if abs(d) <= 100 and d != -3:
             verify_on3(d, tab)
         if d % 5:

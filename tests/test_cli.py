@@ -18,7 +18,7 @@ import pytest
 
 from reflectron import arith, cli, cubicforms, reflection
 from reflectron.arith import is_fundamental_discriminant
-from reflectron.cli import RunConfig, emit_report, main, run
+from reflectron.cli import emit_report, main
 from reflectron.cubicforms import count_N3, enumerate_cubic_fields
 from reflectron.reflection import verify_on3
 
@@ -32,33 +32,101 @@ def run_main(capsys, argv):
     return code, captured.out
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        [],
-        ["frobnicate"],
-        ["cubic-tab", "--xmax", "0"],
-        ["classgroup"],
-        ["classgroup", "--d", "45"],
-        ["classgroup", "--d", "-23", "--dmax", "100"],
-        ["predict", "--d", "-23"],
-        ["predict", "--ell", "4", "--d", "-23"],
-        ["predict", "--ell", "7", "--corollary5", "--d", "-3"],
-        ["predict", "--ell", "5", "--corollary5", "--d", "-47"],
-        ["corollary5", "--d", "-15"],
-        ["check-table", "--table", "x.csv", "--d", "-3"],
+# each bad invocation with a fragment of its message; the ids are argvN,
+# in the order the cases were added
+_BAD_INVOCATIONS = [
+    ([], "required: command"),
+    (["frobnicate"], "invalid choice: 'frobnicate'"),
+    (["cubic-tab", "--xmax", "0"], "xmax must be positive"),
+    (["classgroup"], "one of the arguments --d --dmax is required"),
+    (["classgroup", "--d", "45"], "45 is not a fundamental discriminant"),
+    (["classgroup", "--d", "-23", "--dmax", "100"], "not allowed with argument --d"),
+    (["predict", "--d", "-23"], "required: --ell"),
+    (["predict", "--ell", "4", "--d", "-23"], "4 is not an odd prime"),
+    (["predict", "--ell", "7", "--corollary5", "--d", "-3"], "unrecognized arguments"),
+    (["predict", "--ell", "5", "--corollary5", "--d", "-47"], "unrecognized arguments"),
+    (["corollary5", "--d", "-15"], "not coprime to 5"),
+    (["check-table", "--table", "x.csv", "--d", "-3"], "needs --ell or --corollary5"),
+    (
         ["check-table", "--table", "/no/such/file.csv", "--ell", "5", "--d", "-3"],
-        ["classgroup", "--d", "-23", "--format", "xml"],
-        ["predict", "--ell", "4", "--dmax", "2"],
-        ["predict", "--ell", "9", "--dmax", "2"],
-        ["predict", "--ell", "9999999967", "--d", "-4"],
-        ["predict", "--ell", "3001", "--d", "-4"],
-    ],
+        "No such file or directory",
+    ),
+    (["classgroup", "--d", "-23", "--format", "xml"], "invalid choice: 'xml'"),
+    (["predict", "--ell", "4", "--dmax", "2"], "4 is not an odd prime"),
+    (["predict", "--ell", "9", "--dmax", "2"], "9 is not an odd prime"),
+    (["predict", "--ell", "9999999967", "--d", "-4"], "more than 4300 digits"),
+    (["predict", "--ell", "3001", "--d", "-4"], "more than 4300 digits"),
+    (["cubic-tab"], "required: --xmax"),
+    (["cubic-tab", "--xmax", "-5"], "xmax must be positive"),
+    (["cubic-tab", "--xmax", "100", "--workers", "0"], "workers must be between 1 and 256"),
+    (["verify-on"], "required: --dmax"),
+    # --d abbreviates --dmax, the one option of verify-on it prefixes
+    (["verify-on", "--dmax", "100", "--d", "-23"], "dmax must be positive"),
+    (["classgroup", "--dmax", "0"], "dmax must be positive"),
+    (["check-table", "--ell", "5", "--d", "-3"], "required: --table"),
+    (
+        ["check-table", "--table", "t.csv", "--ell", "7", "--corollary5", "--d", "-3"],
+        "--corollary5 requires --ell 5",
+    ),
+    (
+        ["check-table", "--table", str(FIXTURE), "--corollary5", "--d", "-3",
+         "--assume-complete-below", "0"],
+        "assume_complete_below must be positive",
+    ),
+    (["corollary5", "--ell", "7", "--d", "-3"], "unrecognized arguments: --ell 7"),
+    (["classgroup", "--d", "-23", "--out", ""], "argument --out: empty path"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    _BAD_INVOCATIONS,
+    ids=[f"argv{i}" for i in range(len(_BAD_INVOCATIONS))],
 )
-def test_bad_invocations_exit_1(capsys, argv):
+def test_bad_invocations_exit_1(capsys, argv, fragment):
     assert main(argv) == 1
     captured = capsys.readouterr()
+    assert captured.out == ""
     assert captured.err.startswith(("usage error:", "error:"))
+    assert fragment in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["cubic-tab", "--xmax", "100", "--workers", "256"], {"workers": 256}),
+        (["cubic-tab", "--xmax", "100"], {"workers": 1, "format": "csv"}),
+        (
+            ["check-table", "--table", "t.csv", "--corollary5", "--dmax", "100"],
+            {"ell": None, "corollary5": True, "dmax": 100, "d": None},
+        ),
+        (
+            ["check-table", "--table", "t.csv", "--ell", "5", "--corollary5", "--d", "-3"],
+            {"ell": 5, "corollary5": True, "format": "json"},
+        ),
+        (["corollary5", "--d", "-3"], {"ell": 5, "corollary5": True}),
+        (["predict", "--ell", "7", "--d", "-3"], {"corollary5": False, "out": None}),
+    ],
+)
+def test_edge_values_are_accepted(argv, expected):
+    # parsed only, so no pool starts and no table is read
+    args = vars(cli._build_parser().parse_args(argv))
+    assert {key: args[key] for key in expected} == expected
+
+
+@pytest.mark.parametrize(
+    "command", ["classgroup", "cubic-tab", "verify-on", "predict", "corollary5", "check-table"]
+)
+def test_help_exits_0(command):
+    # the parser, with its converters, builds for every command
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-m", "reflectron.cli", command, "--help"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith(f"usage: reflectron {command}")
 
 
 def test_classgroup_row(capsys):
@@ -107,10 +175,10 @@ def test_cubic_tab_json_matches_the_tabulation_and_the_csv(capsys):
     assert csv_rows == json.loads(out)
 
 
-def _traced_peak_of_run(config):
+def _traced_peak_of_main(argv):
     tracemalloc.start()
     try:
-        code = run(config)
+        code = main(argv)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -119,13 +187,13 @@ def _traced_peak_of_run(config):
 
 def test_cubic_tab_report_memory_is_bounded_by_its_bytes(monkeypatch, tmp_path):
     # the tabulation is built before tracing, so the traced peak is what
-    # ordering it and writing its report cost: a few bytes per report
-    # byte, not one dict and one line string per row
+    # parsing the command, ordering the tabulation and writing its report
+    # cost: a few bytes per report byte, not one dict and one line string
+    # per row
     tab = enumerate_cubic_fields(30_000)
     monkeypatch.setattr(cubicforms, "enumerate_cubic_fields", lambda xmax, workers: tab)
     path = tmp_path / "report.csv"
-    config = RunConfig(command="cubic-tab", xmax=30_000, out=str(path))
-    code, peak = _traced_peak_of_run(config)
+    code, peak = _traced_peak_of_main(["cubic-tab", "--xmax", "30000", "--out", str(path)])
     text = path.read_text()
     assert code == 0
     assert text.count("\n") == 5_768 + 1
@@ -145,8 +213,7 @@ def test_verify_on_report_memory_is_bounded_by_its_bytes(monkeypatch, tmp_path):
         lambda xmax, workers, modulus=1: low if modulus == 1 else high,
     )
     path = tmp_path / "report.csv"
-    config = RunConfig(command="verify-on", dmax=30_000, out=str(path))
-    code, peak = _traced_peak_of_run(config)
+    code, peak = _traced_peak_of_main(["verify-on", "--dmax", "30000", "--out", str(path)])
     text = path.read_text()
     assert code == 0
     assert text.count("\n") == 18_243
@@ -204,7 +271,7 @@ def test_each_command_loads_only_the_layers_it_runs():
             "def layers():\n"
             "    return sorted(m for m in sys.modules if m.startswith('reflectron.'))\n"
             "import reflectron.cli\n"
-            "print(layers(), 'json' in sys.modules)\n"
+            "print(layers(), *(m in sys.modules for m in ('json', 'dataclasses', 'inspect')))\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    code = reflectron.cli.main({argv!r})\n"
             "print(code, layers(), 'csv' in sys.modules, 'json' in sys.modules)\n"
@@ -219,8 +286,11 @@ def test_each_command_loads_only_the_layers_it_runs():
 
     def expected(names, csv, json):
         loaded = sorted(f"reflectron.{name}" for name in names)
-        return f"['reflectron.arith', 'reflectron.cli'] False\n0 {loaded} {csv} {json}\n"
+        return f"{on_import}\n0 {loaded} {csv} {json}\n"
 
+    # importing the command line loads no json, and no dataclasses or
+    # inspect: its parser is the one declaration of its inputs
+    on_import = "['reflectron.arith', 'reflectron.cli'] False False False"
     # the CSV reports never load json
     assert layers_after(["classgroup", "--dmax", "50"]) == expected(
         ["arith", "cli", "quadforms"], False, False
@@ -353,7 +423,8 @@ def test_verify_on_rows(capsys):
 def _verify_on3_failing_at(monkeypatch, position, outcome):
     # verify_on3 as the command calls it, except at the given position of
     # the scope, where `outcome(report)` takes its place
-    scope = list(cli._scope(RunConfig(command="verify-on", dmax=200), -3))
+    args = cli._build_parser().parse_args(["verify-on", "--dmax", "200"])
+    scope = list(cli._scope(args, -3))
     calls = []
 
     def fake(d, low, high):
@@ -802,37 +873,6 @@ def test_emit_report_holds_at_most_one_chunk_of_rows(monkeypatch):
     assert text.count("\n") == 20_001
     assert 0 < _CountedRow.peak <= cli._REPORT_CHUNK
     assert _CountedRow.live == 0
-
-
-def test_runconfig_validation():
-    for bad, fragment in (
-        (dict(command="frobnicate"), "unknown command"),
-        (dict(command="classgroup", d=-23, workers=0), "workers"),
-        (dict(command="cubic-tab", xmax=100, workers=257), "workers"),
-        (dict(command="cubic-tab", xmax=100, workers=10**9), "workers"),
-        (dict(command="cubic-tab", xmax=-5), "xmax must be positive"),
-        (dict(command="classgroup", dmax=0), "dmax must be positive"),
-        (dict(command="classgroup", d=-23, format="xml"), "unknown format"),
-        # every config that run() cannot execute, each input once
-        (dict(command="classgroup"), "exactly one of d and dmax"),
-        (dict(command="classgroup", d=-23, dmax=100), "exactly one of d and dmax"),
-        (dict(command="cubic-tab"), "needs xmax"),
-        (dict(command="verify-on"), "needs dmax"),
-        (dict(command="verify-on", dmax=100, d=-23), "takes no d"),
-        (dict(command="predict", d=-23), "needs --ell"),
-        (dict(command="check-table", ell=5, d=-3), "needs a table"),
-        (dict(command="check-table", table="t.csv", d=-3), "needs --ell"),
-        (dict(command="corollary5", d=-3), "needs corollary5 set"),
-        (dict(command="predict", ell=7, corollary5=True, d=-3), "takes no corollary5"),
-        (dict(command="predict", ell=5, corollary5=True, d=-47), "takes no corollary5"),
-        (dict(command="corollary5", ell=7, corollary5=True, d=-3), "requires --ell 5"),
-    ):
-        with pytest.raises(ValueError, match=fragment):
-            RunConfig(**bad)
-    assert RunConfig(command="classgroup", dmax=100).workers == 1
-    assert RunConfig(command="cubic-tab", xmax=100, workers=256).workers == 256
-    RunConfig(command="check-table", table="t.csv", corollary5=True, dmax=100)
-    RunConfig(command="corollary5", ell=5, corollary5=True, d=-3)
 
 
 def test_huge_worker_count_exits_1_before_any_work(capsys, monkeypatch):

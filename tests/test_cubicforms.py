@@ -251,7 +251,7 @@ def _parent_verdict(a, b, c, d):
     if math.gcd(a, b, c, d) != 1:
         return False
     disc = cubic_disc(CubicForm(a, b, c, d))
-    square_primes = [p for p, e in arith.factorize(abs(disc)).factors if e >= 2]
+    square_primes = [p for p, e in arith.factorize(abs(disc)) if e >= 2]
     return not any(_parent_nonmax_at(a, b, c, d, p) for p in square_primes)
 
 
@@ -327,7 +327,7 @@ def test_maximal_reducible_forms_have_fundamental_discriminants():
         disc = cubic_disc(f)
         if disc == 0 or math.gcd(a, b, c, d) != 1:
             continue
-        square_primes = [p for p, e in arith.factorize(disc).factors if e >= 2]
+        square_primes = [p for p, e in arith.factorize(disc) if e >= 2]
         if any(_parent_nonmax_at(a, b, c, d, p) for p in square_primes):
             continue
         maximal += 1

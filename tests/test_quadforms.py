@@ -13,10 +13,10 @@ from reflectron.quadforms import (
     ClassGroupStructure,
     _compose_raw,
     _cycle,
-    _group_for,
     _is_reduced_indef,
     _reduce_def,
     _reduce_indef,
+    _walk,
     class_group,
     class_groups,
     ell_rank,
@@ -321,7 +321,7 @@ def _omega(n):
 
 @pytest.mark.parametrize("d", [-1208, 229, 1596, 2021])
 def test_group_law_on_representatives(d):
-    grp = _group_for(d)
+    grp = next(_walk([d]))
     reps, e = grp.reps, grp.identity
     assert len(reps) > 1
     for f in reps:
@@ -339,7 +339,7 @@ def test_power_of_class_number_is_identity():
     # Lagrange, for both signs (every d > 0 representative here is the
     # first form the walk found in its cycle, which has a > 0)
     for d in fundamental_discriminants(1000):
-        grp = _group_for(d)
+        grp = next(_walk([d]))
         h = len(grp.reps)
         for f in grp.reps:
             assert grp.power(f, h) == grp.identity, (d, f)
@@ -357,7 +357,7 @@ def test_two_rank_matches_genus_theory():
     for d in fundamental_discriminants(2000):
         divisors = class_group(d).elementary_divisors
         assert sum(1 for n in divisors if n % 2 == 0) == _omega(abs(d)) - 1, d
-        grp = _group_for(d)
+        grp = next(_walk([d]))
         e = _log_exact(len(grp.reps) & -len(grp.reps), 2)
         if e:
             parts = quadforms._torsion_parts(grp, 2, e)
@@ -465,7 +465,7 @@ def test_torsion_count_that_is_not_a_power_raises(monkeypatch):
     # h = 9 with group (Z/3)^2, so 3^2 | h and both entry points count
     # 3-torsion; a broken power map (the identity sent to a class of
     # order 3, the other classes to the identity) gives a count of 8
-    other = _group_for(-4027).reps[1]
+    other = next(_walk([-4027])).reps[1]
     monkeypatch.setattr(
         quadforms._Group,
         "power",
