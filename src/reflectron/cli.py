@@ -14,6 +14,7 @@ import os
 import sys
 from functools import cache
 from itertools import chain, islice
+from operator import itemgetter
 
 # each runner imports the layers it uses when it starts, so a command
 # compiles and loads only those
@@ -33,6 +34,11 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # the parser and every subparser refuse an abbreviated option, which
+    # argparse would otherwise read as the option it prefixes
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # argparse exits with status 2 on bad usage; 2 is reserved for
     # identity violations here, so surface usage problems as exceptions
     def error(self, message):
@@ -153,12 +159,16 @@ def emit_report(results, format: str, columns: list[str] | None = None) -> str:
         return ",\n".join(pieces)
     if format != "csv":
         raise ValueError(f"unknown format {format!r}")
-    if columns is None:
+    if not columns:
         raise ValueError("a CSV report needs its columns")
+    cells = itemgetter(*columns)
+    # itemgetter of one key returns the cell itself, not a tuple of one
+    if len(columns) == 1:
+        line = lambda row: _csv_cell(cells(row))
+    else:
+        line = lambda row: ",".join(map(_csv_cell, cells(row)))
     parts = [",".join(columns)]
-    parts.extend(
-        _pieces(results, lambda row: ",".join([_csv_cell(row[c]) for c in columns]), "\n")
-    )
+    parts.extend(_pieces(results, line, "\n"))
     # the empty last part ends the text in a newline, with no second copy
     parts.append("")
     return "\n".join(parts)
@@ -293,7 +303,7 @@ def _run_check_table(args: argparse.Namespace):
 
 def _noting_verdicts(rows, verdicts: set):
     for row in rows:
-        verdicts.add(row.get("verdict"))
+        verdicts.add(row["verdict"])
         yield row
 
 
@@ -340,8 +350,11 @@ def main(argv: list[str] | None = None) -> int:
                 parser.error("check-table needs --ell or --corollary5")
             if args.corollary5 and args.ell not in (None, 5):
                 parser.error("--corollary5 requires --ell 5")
+        rows = args.runner(args)
         verdicts: set = set()
-        text = emit_report(_noting_verdicts(args.runner(args), verdicts), args.format, args.columns)
+        if "verdict" in args.columns:
+            rows = _noting_verdicts(rows, verdicts)
+        text = emit_report(rows, args.format, args.columns)
         if args.out is None:
             sys.stdout.write(text)
         else:

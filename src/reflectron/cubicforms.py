@@ -52,6 +52,8 @@ alone, not by the number of fields.
 
 from __future__ import annotations
 
+import os
+import sys
 from array import array
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
@@ -59,6 +61,7 @@ from itertools import compress, product
 from math import gcd, isqrt
 from operator import or_
 from types import MappingProxyType
+from typing import NoReturn
 
 from .arith import (
     _SIEVE_CEILING,
@@ -531,13 +534,6 @@ def _complex_walk(xmax: int, a: int, modulus: int) -> array:
 # public tabulation API
 
 
-def _process_pool(workers: int):
-    # imported here, so a single-process run never loads multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(max_workers=workers)
-
-
 def _run_job(job) -> array:
     walk, *args = job
     return walk(*args)
@@ -561,6 +557,84 @@ def _tabulated(xmax: int, modulus: int, parts) -> CubicTabulation:
     return CubicTabulation(xmax, bytes(neg), bytes(pos), modulus)
 
 
+def _forked(xmax: int, modulus: int, jobs: list, nworkers: int) -> CubicTabulation:
+    # runs the jobs in nworkers forked children and counts, in this
+    # process, the discriminants they find as they arrive.  Every job
+    # index is written to the queue pipe before the first fork, as 2-byte
+    # records: at most 2 * 514 jobs at the sieve ceiling, 2,056 bytes,
+    # which any pipe holds, so the one write never blocks.  Once every
+    # result is read each child is waited for, and one that failed raises
+    # ChildProcessError; on any other way out the children still running
+    # are killed, and every child is reaped
+    queue, fill = os.pipe()
+    os.write(fill, array("H", range(len(jobs))).tobytes())
+    os.close(fill)
+    read, write = os.pipe()
+    pids = []
+    with open(read, "rb") as results:
+        try:
+            try:
+                for _ in range(nworkers):
+                    pid = os.fork()
+                    if pid == 0:
+                        os.close(read)
+                        _work(jobs, queue, write)
+                    pids.append(pid)
+            finally:
+                # the results end at EOF only once no write end is open here
+                os.close(queue)
+                os.close(write)
+            tab = _tabulated(xmax, modulus, _messages(results))
+            while pids:
+                status = os.waitpid(pids[-1], 0)[1]
+                pid = pids.pop()
+                if status:
+                    code = os.waitstatus_to_exitcode(status)
+                    raise ChildProcessError(f"tabulation worker {pid} exited with {code}")
+            return tab
+        finally:
+            if pids:
+                # loaded only on this way out
+                from signal import SIGKILL
+
+                for pid in pids:
+                    os.kill(pid, SIGKILL)
+                for pid in pids:
+                    os.waitpid(pid, 0)
+
+
+def _work(jobs: list, queue: int, results: int) -> NoReturn:
+    # a forked child: runs the job of each 2-byte index it reads from the
+    # queue until the queue is empty, and writes each job's discriminants
+    # to results as messages of a 2-byte count and at most `size` values,
+    # each at most PIPE_BUF bytes, so the messages of two children never
+    # interleave.  It leaves only through os._exit, 1 after printing the
+    # traceback of whatever it raised, so it never returns into the code
+    # that forked it
+    code = 0
+    try:
+        size = (os.fpathconf(results, "PC_PIPE_BUF") - 2) // 8
+        while index := os.read(queue, 2):
+            found = _run_job(jobs[array("H", index)[0]])
+            for i in range(0, len(found), size):
+                part = found[i : i + size]
+                os.write(results, array("H", [len(part)]).tobytes() + part.tobytes())
+    except BaseException:
+        code = 1
+        sys.excepthook(*sys.exc_info())
+        sys.stderr.flush()
+    finally:
+        os._exit(code)
+
+
+def _messages(results) -> Iterator[array]:
+    # the discriminants of each message on the results pipe, to EOF
+    while count := results.read(2):
+        found = array("q")
+        found.frombytes(results.read(8 * array("H", count)[0]))
+        yield found
+
+
 def enumerate_cubic_fields(
     xmax: int, *, workers: int = 1, modulus: int = 1
 ) -> CubicTabulation:
@@ -574,13 +648,18 @@ def enumerate_cubic_fields(
 
     The work is one job per sign and leading coefficient a, in
     ascending a, so the largest jobs come first.  Each job returns the
-    discriminant of every field it finds as an array of 8-byte ints.  A
-    pool hands the jobs out one at a time and the fields of each are
-    counted as the pool yields them; a single worker runs the same jobs
-    in this process.  The result is independent of the worker count and
-    of the order the jobs finish in, since canonicity is decided per
-    form.  The workers are capped at the number of leading coefficients
-    walked.
+    discriminant of every field it finds as an array of 8-byte ints.
+    With more than one worker, capped at the number of leading
+    coefficients walked, this process forks that many children, which
+    take the jobs one at a time from one pipe and send their
+    discriminants back on another, and it only counts them as they
+    arrive, so it never builds the sieve.  A child that fails raises
+    ChildProcessError once the rest are read, and no child outlives the
+    call, whatever it raises.  Forking is unsafe in a process that runs
+    threads; a single worker, or a platform without os.fork, runs the
+    same jobs in this process.  The result is independent of the worker
+    count and of the order the jobs finish in, since canonicity is
+    decided per form.
 
     The two count arrays take xmax // modulus + 1 bytes each, and the
     walks sieve to xmax // modulus.  Past the sieve's 2^32 - 1 ceiling
@@ -603,10 +682,9 @@ def enumerate_cubic_fields(
         for walk in ((_real_walk, _complex_walk) if a <= ramax else (_complex_walk,))
     ]
     nworkers = min(workers, camax)
-    if nworkers == 1:
+    if nworkers == 1 or not hasattr(os, "fork"):
         return _tabulated(xmax, modulus, map(_run_job, jobs))
-    with _process_pool(nworkers) as pool:
-        return _tabulated(xmax, modulus, pool.map(_run_job, jobs))
+    return _forked(xmax, modulus, jobs, nworkers)
 
 
 def count_N3(tab: CubicTabulation, disc: int) -> int:

@@ -60,8 +60,8 @@ _BAD_INVOCATIONS = [
     (["cubic-tab", "--xmax", "-5"], "xmax must be positive"),
     (["cubic-tab", "--xmax", "100", "--workers", "0"], "workers must be between 1 and 256"),
     (["verify-on"], "required: --dmax"),
-    # --d abbreviates --dmax, the one option of verify-on it prefixes
-    (["verify-on", "--dmax", "100", "--d", "-23"], "dmax must be positive"),
+    # verify-on has no --d, and an abbreviation of --dmax is refused
+    (["verify-on", "--dmax", "100", "--d", "-23"], "unrecognized arguments: --d -23"),
     (["classgroup", "--dmax", "0"], "dmax must be positive"),
     (["check-table", "--ell", "5", "--d", "-3"], "required: --table"),
     (
@@ -75,6 +75,10 @@ _BAD_INVOCATIONS = [
     ),
     (["corollary5", "--ell", "7", "--d", "-3"], "unrecognized arguments: --ell 7"),
     (["classgroup", "--d", "-23", "--out", ""], "argument --out: empty path"),
+    # an abbreviation is no option, so the full one is missing
+    (["verify-on", "--d", "50"], "required: --dmax"),
+    (["cubic-tab", "--x", "30", "--w", "1"], "required: --xmax"),
+    (["cubic-tab", "--xmax", "30", "--w", "1"], "unrecognized arguments: --w 1"),
 ]
 
 
@@ -242,14 +246,16 @@ def test_classgroup_past_the_sieve_ceiling_exits_1(capsys, monkeypatch):
     assert captured.err == "error: sieve limit 4294967296 exceeds 4294967295\n"
 
 
-def test_single_process_commands_import_no_pool():
-    # a fresh interpreter, so no other test has loaded the pool modules
+def test_commands_import_no_pool_modules():
+    # a fresh interpreter, so no other test has loaded the pool modules;
+    # two workers are forked children, not a multiprocessing pool
     code = (
         "import contextlib, io, sys\n"
         "from reflectron.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [main(['classgroup', '--dmax', '50']),\n"
-        "             main(['verify-on', '--dmax', '50', '--workers', '1'])]\n"
+        "             main(['verify-on', '--dmax', '50', '--workers', '1']),\n"
+        "             main(['cubic-tab', '--xmax', '2000', '--workers', '2'])]\n"
         "print(codes, [m for m in sys.modules\n"
         "              if m.split('.')[0] in ('concurrent', 'multiprocessing')])\n"
     )
@@ -259,7 +265,7 @@ def test_single_process_commands_import_no_pool():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "[0, 0] []\n"
+    assert out.stdout == "[0, 0, 0] []\n"
 
 
 def test_each_command_loads_only_the_layers_it_runs():

@@ -1,9 +1,11 @@
 import hashlib
 import itertools
 import math
+import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from array import array
 from collections import Counter
@@ -635,62 +637,96 @@ def test_modulus_27_walk_finds_exactly_the_fields_with_27_dividing_disc(sign):
         assert tab.neg == full.neg[::27]
 
 
-class _InProcessPool:
-    """Stands in for cubicforms._process_pool: records the worker count
-    and maps in this process, so no worker is ever started."""
+class _InProcess:
+    """Stands in for cubicforms._forked: records the worker count and the
+    jobs, and runs them in this process, so no child is ever forked.  With
+    reverse, the results are counted last job first, as they might
+    arrive when the jobs finish out of order."""
 
-    sizes: list[int] = []
+    def __init__(self, reverse=False):
+        self.reverse = reverse
+        self.sizes = []
+        self.jobs = []
 
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, jobs):
-        return map(fn, jobs)
+    def __call__(self, xmax, modulus, jobs, nworkers):
+        self.sizes.append(nworkers)
+        self.jobs.extend(jobs)
+        parts = [cubicforms._run_job(job) for job in jobs]
+        return cubicforms._tabulated(xmax, modulus, reversed(parts) if self.reverse else parts)
 
 
 def test_enumeration_caps_shards_at_leading_coefficients(monkeypatch):
-    monkeypatch.setattr(cubicforms, "_process_pool", _InProcessPool)
-    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    forked = _InProcess()
+    monkeypatch.setattr(cubicforms, "_forked", forked)
     serial = enumerate_cubic_fields(2000)
     assert enumerate_cubic_fields(2000, workers=64) == serial
     # at X = 2000 the negative side walks a <= 7, the positive side only
     # a <= 4, and one shard walks both sides
-    assert _InProcessPool.sizes == [7]
+    assert forked.sizes == [7]
     # the 19 leading coefficients of the negative side at X = 160000
     assert cubicforms._complex_amax(160000) == 19
 
 
-class _ReversedPool(_InProcessPool):
-    """Records the jobs and yields their results last job first, as a
-    pool whose jobs finish out of order might."""
-
-    jobs: list = []
-
-    def map(self, fn, jobs):
-        self.jobs.extend(jobs)
-        return reversed([fn(job) for job in jobs])
-
-
 @pytest.mark.parametrize("modulus", [1, 27])
 def test_enumeration_jobs_cover_each_leading_coefficient_once(monkeypatch, modulus):
-    monkeypatch.setattr(cubicforms, "_process_pool", _ReversedPool)
-    monkeypatch.setattr(_ReversedPool, "sizes", [])
-    monkeypatch.setattr(_ReversedPool, "jobs", [])
+    forked = _InProcess(reverse=True)
+    monkeypatch.setattr(cubicforms, "_forked", forked)
     serial = enumerate_cubic_fields(30000, modulus=modulus)
     assert enumerate_cubic_fields(30000, workers=2, modulus=modulus) == serial
-    assert _ReversedPool.sizes == [2]
+    assert forked.sizes == [2]
     # one job per sign and leading coefficient, in ascending a
     real = [(cubicforms._real_walk, 30000, a, modulus) for a in range(1, 8)]
     cplx = [(cubicforms._complex_walk, 30000, a, modulus) for a in range(1, 14)]
     assert (cubicforms._real_amax(30000), cubicforms._complex_amax(30000)) == (7, 13)
-    assert sorted(_ReversedPool.jobs, key=lambda job: job[2]) == _ReversedPool.jobs
-    assert Counter(_ReversedPool.jobs) == Counter(real + cplx)
+    assert sorted(forked.jobs, key=lambda job: job[2]) == forked.jobs
+    assert Counter(forked.jobs) == Counter(real + cplx)
+
+
+def _assert_no_child_left():
+    # every child forked by this process has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_failing_worker_raises_and_leaves_no_child(monkeypatch, capfd):
+    walk = cubicforms._complex_walk
+
+    def failing(xmax, a, modulus):
+        if a == 3:
+            raise RuntimeError("walk failed at a = 3")
+        return walk(xmax, a, modulus)
+
+    monkeypatch.setattr(cubicforms, "_complex_walk", failing)
+    # at X = 2000 the 7 leading coefficients of the negative side cap the
+    # children at 7, so 2 start
+    with pytest.raises(ChildProcessError, match="exited with 1"):
+        enumerate_cubic_fields(2000, workers=2)
+    _assert_no_child_left()
+    # the child printed its traceback before it left
+    assert "RuntimeError: walk failed at a = 3" in capfd.readouterr().err
+    assert main(["cubic-tab", "--xmax", "2000", "--workers", "2"]) == 1
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert "error: tabulation worker" in captured.err
+    _assert_no_child_left()
+
+
+def test_a_parent_that_raises_while_counting_leaves_no_child(monkeypatch):
+    # the first job's 256 fields of one discriminant overflow its count
+    # while the other children still walk; they are killed, not awaited
+    def walk(xmax, a, modulus):
+        if a == 1:
+            return array("q", [-23] * 256)
+        time.sleep(20)
+        return array("q")
+
+    monkeypatch.setattr(cubicforms, "_real_walk", walk)
+    monkeypatch.setattr(cubicforms, "_complex_walk", walk)
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="more than 255 fields of discriminant -23$"):
+        enumerate_cubic_fields(2000, workers=2)
+    assert time.monotonic() - start < 10
+    _assert_no_child_left()
 
 
 def test_modulus_27_walk_sieves_to_a_27th_of_xmax(monkeypatch):
