@@ -45,6 +45,28 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+class _CommandParser(_Parser):
+    # a command's parser names every option it does not know before any
+    # other fault; argparse alone reports a missing required option
+    # first, which hides a typo such as --d for --dmax.  argparse marks
+    # an option it does not know as (None, option, None).  The top
+    # parser is not one of these: it also meets the command's options
+    def parse_known_args(self, args=None, namespace=None):
+        self.unknown = []
+        return super().parse_known_args(args, namespace)
+
+    def _parse_optional(self, arg_string):
+        parsed = super()._parse_optional(arg_string)
+        if parsed == (None, arg_string, None):
+            self.unknown.append(arg_string)
+        return parsed
+
+    def error(self, message):
+        if self.unknown:
+            message = "unrecognized arguments: " + " ".join(self.unknown)
+        super().error(message)
+
+
 def _bounded(name: str, high: int | None = None):
     # an argparse type for an int option from 1 to high, or with no upper
     # bound when high is None, that refuses other values by the option's name
@@ -72,7 +94,7 @@ def _build_parser() -> _Parser:
     # the one declaration of each command's inputs; each subparser's
     # defaults carry its runner, its CSV columns and its default format
     parser = _Parser(prog="reflectron", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     def common(p, *, scope=False, workers=False):
         if scope:
@@ -298,7 +320,7 @@ def _run_check_table(args: argparse.Namespace):
         _predictions(args), entries, assume_complete_below=bound
     ):
         # the fields are in row order, and JSON writes the tuples as lists
-        yield vars(comparison)
+        yield comparison._asdict()
 
 
 def _noting_verdicts(rows, verdicts: set):

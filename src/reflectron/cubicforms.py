@@ -55,13 +55,12 @@ from __future__ import annotations
 import os
 import sys
 from array import array
-from collections.abc import Iterator, Mapping
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator, Mapping
 from itertools import compress, product
 from math import gcd, isqrt
 from operator import or_
 from types import MappingProxyType
-from typing import NoReturn
+from typing import NamedTuple, NoReturn
 
 from .arith import (
     _SIEVE_CEILING,
@@ -94,16 +93,23 @@ _SIEVE_PRIMES = (2, 3, 5, 7, 11)
 _TABLES: list[tuple[int, bytes]] = []
 
 
-@dataclass(frozen=True)
-class CubicForm:
+class CubicForm(NamedTuple):
     a: int
     b: int
     c: int
     d: int
 
 
-@dataclass(frozen=True)
-class CubicTabulation:
+# the fields of CubicTabulation, which checks them in __new__, as a NamedTuple
+# cannot define its own
+class _Counts(NamedTuple):
+    xmax: int
+    neg: bytes
+    pos: bytes
+    modulus: int = 1
+
+
+class CubicTabulation(_Counts):
     """Counts of cubic fields by discriminant over 0 < |disc| <= xmax,
     both signs, restricted to discriminants divisible by modulus (1 or
     27).
@@ -114,24 +120,31 @@ class CubicTabulation:
     each is 0.  That is 2 bytes per unit of xmax / modulus however many
     fields there are, and no count exceeds 255."""
 
-    xmax: int
-    neg: bytes = field(repr=False)
-    pos: bytes = field(repr=False)
-    modulus: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.xmax < 0:
+    def __new__(cls, xmax: int, neg: bytes, pos: bytes, modulus: int = 1) -> CubicTabulation:
+        if xmax < 0:
             raise ValueError("xmax must be non-negative")
-        if self.modulus not in _MODULI:
+        if modulus not in _MODULI:
             raise ValueError("modulus must be 1 or 27")
-        size = self.xmax // self.modulus + 1
-        for counts in (self.neg, self.pos):
+        size = xmax // modulus + 1
+        for counts in (neg, pos):
             if not isinstance(counts, bytes):
                 raise TypeError("the counts must be bytes")
             if len(counts) != size:
                 raise ValueError(f"the counts need xmax // modulus + 1 = {size} entries")
             if counts[0]:
                 raise ValueError("0 is not a field discriminant")
+        return super().__new__(cls, xmax, neg, pos, modulus)
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> CubicTabulation:
+        # so that _replace checks its result too
+        return cls(*fields)
+
+    def __repr__(self) -> str:
+        # the byte strings stay out
+        return f"CubicTabulation(xmax={self.xmax!r}, modulus={self.modulus!r})"
 
     def items(self) -> Iterator[tuple[int, int]]:
         """(disc, count) for every discriminant with a field, in

@@ -20,30 +20,43 @@ import io
 import sys
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from operator import attrgetter
+from typing import NamedTuple
 
-from .reflection import Corollary5Report, FieldDiscriminant, PredictionRecord
+from .reflection import Corollary5Report, PredictionRecord, _check_signature
 
 _HEADER = "label,degree,r2,disc,galois"
 
 _magnitude = attrgetter("disc_magnitude")
 
 
-@dataclass(frozen=True)
-class FieldTableEntry:
-    """One table row: a labelled field with its discriminant datum, the
-    magnitude the int |disc|, compared as is with FieldDiscriminant.magnitude."""
-
+# the fields of FieldTableEntry, which checks them in __new__, as a NamedTuple
+# cannot define its own
+class _Row(NamedTuple):
     label: str
     degree: int
     r2: int
     disc_magnitude: int
     galois_label: str
 
-    def __post_init__(self) -> None:
-        # a table row obeys the signature rules of the discriminant it records
-        FieldDiscriminant(self.r2, self.disc_magnitude, self.degree)
+
+class FieldTableEntry(_Row):
+    """One table row: a labelled field with its discriminant datum, the
+    magnitude the int |disc|, compared as is with FieldDiscriminant.magnitude.
+    A row obeys the signature rules of the discriminant it records."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, label: str, degree: int, r2: int, disc_magnitude: int, galois_label: str
+    ) -> FieldTableEntry:
+        _check_signature(r2, disc_magnitude, degree)
+        return super().__new__(cls, label, degree, r2, disc_magnitude, galois_label)
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> FieldTableEntry:
+        # so that _replace checks its result too
+        return cls(*fields)
 
 
 def parse_field_table(stream) -> list[FieldTableEntry]:
@@ -84,8 +97,7 @@ def parse_field_table(stream) -> list[FieldTableEntry]:
     return entries
 
 
-@dataclass(frozen=True)
-class TableComparison:
+class TableComparison(NamedTuple):
     """Outcome of reconciling one prediction with a table.
 
     In exact mode the verdict is pass or fail; on failure, missing

@@ -38,14 +38,14 @@ x^(q^k) is that table applied k times.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from itertools import chain, compress
 from math import isqrt
+from typing import NamedTuple
 
 from .arith import _check_odd_prime, distinct_prime_factors, factorize, is_fundamental_discriminant
 
-@dataclass(frozen=True)
-class ClassGroupStructure:
+
+class ClassGroupStructure(NamedTuple):
     discriminant: int
     elementary_divisors: tuple[int, ...]
     narrow: bool

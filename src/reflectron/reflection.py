@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from itertools import tee
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import _check_odd_prime, is_fundamental_discriminant, smallest_primitive_root
 
@@ -31,8 +30,15 @@ if TYPE_CHECKING:
     from .cubicforms import CubicTabulation
 
 
-@dataclass(frozen=True)
-class FieldDiscriminant:
+# the fields of FieldDiscriminant, which checks them in __new__, as a NamedTuple
+# cannot define its own
+class _Signature(NamedTuple):
+    r2: int
+    magnitude: int
+    degree: int
+
+
+class FieldDiscriminant(_Signature):
     """A number-field discriminant as signature plus unsigned magnitude.
 
     r2 counts pairs of complex embeddings and fixes the sign of the
@@ -41,20 +47,30 @@ class FieldDiscriminant:
     complex pairs both have positive discriminant).
     """
 
-    r2: int
-    magnitude: int
-    degree: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.degree < 1:
-            raise ValueError("degree must be positive")
-        if self.r2 < 0 or 2 * self.r2 > self.degree:
-            raise ValueError(f"r2 = {self.r2} is impossible in degree {self.degree}")
-        if self.magnitude < 1:
-            raise ValueError("magnitude must be positive")
+    def __new__(cls, r2: int, magnitude: int, degree: int) -> FieldDiscriminant:
+        _check_signature(r2, magnitude, degree)
+        return super().__new__(cls, r2, magnitude, degree)
+
+    @classmethod
+    def _make(cls, fields: Iterable[int]) -> FieldDiscriminant:
+        # so that _replace checks its result too
+        return cls(*fields)
 
     def signed_value(self) -> int:
         return (-1) ** self.r2 * self.magnitude
+
+
+def _check_signature(r2: int, magnitude: int, degree: int) -> None:
+    # the rules of a discriminant datum, a FieldDiscriminant's or a
+    # table row's
+    if degree < 1:
+        raise ValueError("degree must be positive")
+    if r2 < 0 or 2 * r2 > degree:
+        raise ValueError(f"r2 = {r2} is impossible in degree {degree}")
+    if magnitude < 1:
+        raise ValueError("magnitude must be positive")
 
 
 def _check_quadratic(D: int) -> None:
@@ -208,8 +224,7 @@ def _targets(ell: int, D: int) -> tuple[FieldDiscriminant, FieldDiscriminant]:
     return _reflected_disc(ell, D, 0, ell), _reflected_disc(ell, D, top, ell)
 
 
-@dataclass(frozen=True)
-class PredictionRecord:
+class PredictionRecord(NamedTuple):
     """One instance of the identity, evaluated as far as class groups go.
 
     dl_count is the dihedral-side field count; lhs_value folds in the
@@ -257,8 +272,7 @@ def predictions(ell: int, Ds: Iterable[int]) -> Iterator[PredictionRecord]:
         yield PredictionRecord(ell, D, g, dl_count, lhs, _targets(ell, D), ell >= 7)
 
 
-@dataclass(frozen=True)
-class OnVerification:
+class OnVerification(NamedTuple):
     """Both sides of the ell = 3 identity read off cubic tabulations."""
 
     D: int
@@ -292,8 +306,7 @@ def verify_on3(
     return OnVerification(D, (first, second), rhs, first + second == rhs)
 
 
-@dataclass(frozen=True)
-class Corollary5Report:
+class Corollary5Report(NamedTuple):
     """The star-free ell = 5 aggregate over the resolvent pair (d, 5d)."""
 
     d: int

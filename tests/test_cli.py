@@ -11,7 +11,6 @@ import time
 import tracemalloc
 from array import array
 from collections.abc import Mapping
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -75,10 +74,12 @@ _BAD_INVOCATIONS = [
     ),
     (["corollary5", "--ell", "7", "--d", "-3"], "unrecognized arguments: --ell 7"),
     (["classgroup", "--d", "-23", "--out", ""], "argument --out: empty path"),
-    # an abbreviation is no option, so the full one is missing
-    (["verify-on", "--d", "50"], "required: --dmax"),
-    (["cubic-tab", "--x", "30", "--w", "1"], "required: --xmax"),
+    # an abbreviation is no option, and it is named before the full
+    # option is missed
+    (["verify-on", "--d", "50"], "unrecognized arguments: --d\n"),
+    (["cubic-tab", "--x", "30", "--w", "1"], "unrecognized arguments: --x --w\n"),
     (["cubic-tab", "--xmax", "30", "--w", "1"], "unrecognized arguments: --w 1"),
+    (["classgroup", "--dma", "50"], "unrecognized arguments: --dma\n"),
 ]
 
 
@@ -280,7 +281,8 @@ def test_each_command_loads_only_the_layers_it_runs():
             "print(layers(), *(m in sys.modules for m in ('json', 'dataclasses', 'inspect')))\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    code = reflectron.cli.main({argv!r})\n"
-            "print(code, layers(), 'csv' in sys.modules, 'json' in sys.modules)\n"
+            "modules = ('csv', 'json', 'dataclasses', 'inspect')\n"
+            "print(code, layers(), *(m in sys.modules for m in modules))\n"
         )
         path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
         env = {**os.environ, "PYTHONPATH": path}
@@ -291,8 +293,10 @@ def test_each_command_loads_only_the_layers_it_runs():
         return out.stdout
 
     def expected(names, csv, json):
+        # no layer loads dataclasses or inspect: its records are named
+        # tuples
         loaded = sorted(f"reflectron.{name}" for name in names)
-        return f"{on_import}\n0 {loaded} {csv} {json}\n"
+        return f"{on_import}\n0 {loaded} {csv} {json} False False\n"
 
     # importing the command line loads no json, and no dataclasses or
     # inspect: its parser is the one declaration of its inputs
@@ -446,7 +450,7 @@ def test_verify_on_exits_2_on_a_failing_verdict(capsys, monkeypatch):
     # the last row fails: the exit code is read only after the report
     # has consumed every row
     scope, _ = _verify_on3_failing_at(
-        monkeypatch, -1, lambda report: replace(report, holds=False)
+        monkeypatch, -1, lambda report: report._replace(holds=False)
     )
     code, out = run_main(capsys, ["verify-on", "--dmax", "200", "--workers", "1"])
     assert code == 2
