@@ -1,35 +1,40 @@
 """Exact integer arithmetic used by every other module.
 
 Everything here is deterministic.  Factorizations are exact (no floating
-point, no probabilistic answers left unverified): a shared
-smallest-prime-factor table handles the integers it covers, trial
-division the desk-scale ones past it, and a Brent-cycle split with fixed
-parameters any stray large cofactor, so repeated runs always agree.
-factorize returns the sorted (p, e) pairs of |n|.  Squarefreeness, and
-with it every fundamental discriminant test, walks the same table with
-no factorization for the integers it covers.
+point, and no unproven prime below 3.3 * 10^24): a shared
+smallest-prime-factor table handles the integers it covers, and past it
+the primes 2 to 37 are divided out and a Brent-cycle split with fixed
+parameters splits what is left, so repeated runs always agree.  The
+table grows only when a caller sizes it, never as a side effect of
+factoring.  factorize returns the sorted (p, e) pairs of |n|.
+Squarefreeness, and with it every fundamental discriminant test, walks
+the same table with no factorization for the integers it covers.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
 from collections.abc import Iterator
 from functools import cache
 from math import gcd, isqrt
-
-_TRIAL_LIMIT = 10**6
 
 # entry n of the sieve starts out holding n, and an array('I') entry
 # holds at most 2^32 - 1
 _SIEVE_CEILING = 2**32 - 1
 
-# Grown on demand: _spf[n] is the smallest prime factor of n for
-# 2 <= n < len(_spf), and _primes lists the primes below _primes_end,
-# read off _spf only as far as callers ask.
+# _spf[n] is the smallest prime factor of n for 2 <= n < len(_spf),
+# grown only by smallest_prime_factors, to a limit a caller asks for
 _spf = array("I")
-_primes: list[int] = []
-_primes_end = 0
+
+# is_prime's trial divisors and Miller-Rabin bases, and the primes
+# factorize divides out past the table
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# psi_12: the least strong pseudoprime to all twelve bases above
+# (Sorenson and Webster 2015), so they decide every n below it; a prime
+# factor at or past it is a Baillie-PSW probable prime, and no composite
+# is known to pass that test
+_PSI_12 = 3_317_044_064_679_887_385_961_981
 
 
 def smallest_prime_factors(limit: int) -> array:
@@ -48,21 +53,12 @@ def smallest_prime_factors(limit: int) -> array:
     return _spf
 
 
-def primes_up_to(limit: int) -> list[int]:
-    """All primes <= limit, read off the shared sieve table."""
-    global _primes, _primes_end
-    if limit >= _primes_end:
-        spf = smallest_prime_factors(limit)
-        _primes_end = min(len(spf), max(limit + 1, 2 * _primes_end))
-        _primes = [n for n in range(2, _primes_end) if spf[n] == n]
-    return _primes[: bisect_right(_primes, limit)]
-
-
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for all 64-bit (and well beyond)."""
+    """Deterministic Miller-Rabin to the bases 2 to 37, proven exact
+    below psi_12; at or past it a strong Lucas test too (Baillie-PSW)."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -70,7 +66,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -80,7 +76,56 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _PSI_12 or _strong_lucas(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    # the Jacobi symbol (a / n) for odd n > 0
+    a %= n
+    t = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                t = -t
+        a, n = n, a
+        if a % 4 == n % 4 == 3:
+            t = -t
+        a %= n
+    return t if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    # strong Lucas probable-prime test of odd n > 37 with Selfridge's
+    # parameters: D the first of 5, -7, 9, -11, ... with (D / n) = -1,
+    # P = 1 and Q = (1 - D) / 4.  A square has no such D, and is composite
+    if isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) == 1:
+        D = -D - 2 if D > 0 else -D + 2
+    if j == 0:
+        return False  # |D| < n shares a factor with n
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # U_k, V_k and Q^k mod n, from k = 1 up to k = d by its binary digits
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = U + V, D * U + V
+            U, V = (U + n * (U & 1)) // 2 % n, (V + n * (V & 1)) // 2 % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def _check_odd_prime(ell: int) -> None:
@@ -124,9 +169,9 @@ def factorize(n: int) -> list[tuple[int, int]]:
     of |n| = product(p^e), sorted by prime, each e >= 1.
 
     An |n| below the length of the shared sieve table is read off it,
-    one smallest prime factor at a time; a larger one goes through
-    trial division by the primes up to min(sqrt|n|, 10^6) and a
-    Brent-cycle split of any large cofactor.
+    one smallest prime factor at a time; a larger one has the primes 2
+    to 37 divided out, and what is left is split by is_prime and a
+    Brent-cycle split, without growing the table.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
@@ -138,14 +183,12 @@ def factorize(n: int) -> list[tuple[int, int]]:
             p = spf[n]
             exps[p] = exps.get(p, 0) + 1
             n //= p
-    elif n > 1:
-        for p in primes_up_to(min(_TRIAL_LIMIT, isqrt(n) + 1)):
-            if p * p > n:
-                break
+    else:
+        for p in _SMALL_PRIMES:
             while n % p == 0:
                 exps[p] = exps.get(p, 0) + 1
                 n //= p
-        # what is left is 1, a prime, or a product of primes > 10^6
+        # what is left is 1 or a product of primes > 37
         stack = [n] if n > 1 else []
         while stack:
             m = stack.pop()

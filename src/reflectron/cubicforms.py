@@ -575,10 +575,12 @@ def _forked(xmax: int, modulus: int, jobs: list, nworkers: int) -> CubicTabulati
     # process, the discriminants they find as they arrive.  Every job
     # index is written to the queue pipe before the first fork, as 2-byte
     # records: at most 2 * 514 jobs at the sieve ceiling, 2,056 bytes,
-    # which any pipe holds, so the one write never blocks.  Once every
-    # result is read each child is waited for, and one that failed raises
-    # ChildProcessError; on any other way out the children still running
-    # are killed, and every child is reaped
+    # which any pipe holds, so the one write never blocks.  A child that
+    # fails says so on the results pipe, and is waited for and raises
+    # ChildProcessError at once; one killed by a signal raises once every
+    # result is read and each child is waited for.  On any way out but a
+    # return the children still running are killed, and every child is
+    # reaped
     queue, fill = os.pipe()
     os.write(fill, array("H", range(len(jobs))).tobytes())
     os.close(fill)
@@ -597,13 +599,9 @@ def _forked(xmax: int, modulus: int, jobs: list, nworkers: int) -> CubicTabulati
                 # the results end at EOF only once no write end is open here
                 os.close(queue)
                 os.close(write)
-            tab = _tabulated(xmax, modulus, _messages(results))
+            tab = _tabulated(xmax, modulus, _messages(results, pids))
             while pids:
-                status = os.waitpid(pids[-1], 0)[1]
-                pid = pids.pop()
-                if status:
-                    code = os.waitstatus_to_exitcode(status)
-                    raise ChildProcessError(f"tabulation worker {pid} exited with {code}")
+                _reap(pids, pids[-1])
             return tab
         finally:
             if pids:
@@ -621,9 +619,10 @@ def _work(jobs: list, queue: int, results: int) -> NoReturn:
     # queue until the queue is empty, and writes each job's discriminants
     # to results as messages of a 2-byte count and at most `size` values,
     # each at most PIPE_BUF bytes, so the messages of two children never
-    # interleave.  It leaves only through os._exit, 1 after printing the
-    # traceback of whatever it raised, so it never returns into the code
-    # that forked it
+    # interleave.  It leaves only through os._exit, so it never returns
+    # into the code that forked it: 1 after printing the traceback of
+    # whatever it raised and writing a message of count 0 and its 4-byte
+    # pid
     code = 0
     try:
         size = (os.fpathconf(results, "PC_PIPE_BUF") - 2) // 8
@@ -636,16 +635,30 @@ def _work(jobs: list, queue: int, results: int) -> NoReturn:
         code = 1
         sys.excepthook(*sys.exc_info())
         sys.stderr.flush()
+        os.write(results, array("H", [0]).tobytes() + array("i", [os.getpid()]).tobytes())
     finally:
         os._exit(code)
 
 
-def _messages(results) -> Iterator[array]:
-    # the discriminants of each message on the results pipe, to EOF
+def _messages(results, pids: list) -> Iterator[array]:
+    # the discriminants of each message on the results pipe, to EOF; a
+    # message of count 0 names a child that failed, which is reaped
     while count := results.read(2):
+        if not (size := array("H", count)[0]):
+            _reap(pids, array("i", results.read(4))[0])
         found = array("q")
-        found.frombytes(results.read(8 * array("H", count)[0]))
+        found.frombytes(results.read(8 * size))
         yield found
+
+
+def _reap(pids: list, pid: int) -> None:
+    # waits for the child pid and drops it from pids; raises
+    # ChildProcessError if it failed
+    status = os.waitpid(pid, 0)[1]
+    pids.remove(pid)
+    if status:
+        code = os.waitstatus_to_exitcode(status)
+        raise ChildProcessError(f"tabulation worker {pid} exited with {code}")
 
 
 def enumerate_cubic_fields(
@@ -667,12 +680,12 @@ def enumerate_cubic_fields(
     take the jobs one at a time from one pipe and send their
     discriminants back on another, and it only counts them as they
     arrive, so it never builds the sieve.  A child that fails raises
-    ChildProcessError once the rest are read, and no child outlives the
-    call, whatever it raises.  Forking is unsafe in a process that runs
-    threads; a single worker, or a platform without os.fork, runs the
-    same jobs in this process.  The result is independent of the worker
-    count and of the order the jobs finish in, since canonicity is
-    decided per form.
+    ChildProcessError at once, and no child outlives the call, whatever
+    it raises.  Forking is unsafe in a process that runs threads; a
+    single worker, or a platform without os.fork, runs the same jobs in
+    this process.  The result is independent of the worker count and
+    of the order the jobs finish in, since canonicity is decided per
+    form.
 
     The two count arrays take xmax // modulus + 1 bytes each, and the
     walks sieve to xmax // modulus.  Past the sieve's 2^32 - 1 ceiling

@@ -1,6 +1,8 @@
+import random
 from array import array
 
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
 from reflectron import arith, quadforms
@@ -10,22 +12,13 @@ from reflectron.arith import (
     fundamental_discriminants,
     is_fundamental_discriminant,
     is_prime,
-    primes_up_to,
     smallest_prime_factors,
     smallest_primitive_root,
     squarefree,
 )
 from reflectron.cubicforms import enumerate_cubic_fields
 from reflectron.quadforms import _walk
-from reflectron.reflection import corollary5_predict, verify_on3
-
-
-def test_primes_up_to():
-    assert primes_up_to(10) == [2, 3, 5, 7]
-    assert primes_up_to(2)[-1] == 2
-    assert primes_up_to(0) == []
-    longer = primes_up_to(10**4)
-    assert len(longer) == 1229 and longer[-1] == 9973
+from reflectron.reflection import corollary5_predict, count_Dl, verify_on3
 
 
 def test_smallest_prime_factors():
@@ -33,10 +26,8 @@ def test_smallest_prime_factors():
     assert len(spf) > 5000
     for n in range(2, 5001):
         assert spf[n] == factorize(n)[0][0]
-    # a larger request regrows the shared table; primes read off it agree
+    # a larger request regrows the shared table
     assert len(smallest_prime_factors(10**5)) > 10**5
-    assert len(primes_up_to(10**5)) == 9592
-    assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
 class _Refused(Exception):
@@ -61,7 +52,11 @@ def test_smallest_prime_factors_ceiling(monkeypatch):
 
 
 def test_is_prime_small():
-    known = set(primes_up_to(200))
+    # the primes below 200 by a sieve of Eratosthenes, independent of arith
+    composite = set()
+    for p in range(2, 15):
+        composite.update(range(p * p, 200, p))
+    known = set(range(2, 200)) - composite
     for n in range(-5, 200):
         assert is_prime(n) == (n in known)
 
@@ -70,6 +65,38 @@ def test_is_prime_large():
     assert is_prime(2**61 - 1)
     assert not is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5, 7
     assert not is_prime(2**61 + 1)
+    for k in (89, 107, 127):
+        assert is_prime(2**k - 1)
+
+
+# psi_12, the least strong pseudoprime to the twelve prime bases 2 to 37
+_PSI_12 = 3_317_044_064_679_887_385_961_981
+_PSI_12_FACTORS = [(1_287_836_182_261, 1), (2_575_672_364_521, 1)]
+
+
+def test_is_prime_past_the_proven_bound():
+    # the twelve bases pass psi_12, and the strong Lucas test refuses it
+    assert _product(_PSI_12_FACTORS) == _PSI_12
+    assert not is_prime(_PSI_12)
+    assert not is_prime(_PSI_12**2)  # a square has no Selfridge D
+    assert factorize(_PSI_12) == _PSI_12_FACTORS
+    # p * psi_12 = 1 (mod 4) is divided by p^2, so it is not fundamental
+    p = _PSI_12_FACTORS[0][0]
+    assert p * _PSI_12 % 4 == 1
+    assert not squarefree(p * _PSI_12)
+    assert not is_fundamental_discriminant(p * _PSI_12)
+    for refused in (smallest_primitive_root, lambda ell: count_Dl(ell, -4)):
+        with pytest.raises(ValueError, match="is not an odd prime"):
+            refused(_PSI_12)
+
+
+def test_is_prime_agrees_with_sympy_past_the_proven_bound():
+    rng = random.Random(32)
+    odd = [rng.randrange(10**24, 10**40) | 1 for _ in range(200)]
+    # and primes, which reach the strong Lucas test
+    primes = [sympy.nextprime(rng.randrange(_PSI_12, 10**40)) for _ in range(20)]
+    for n in odd + primes:
+        assert is_prime(n) == sympy.isprime(n), n
 
 
 def _product(factors):
@@ -85,6 +112,21 @@ def test_factorize_golden():
     assert factorize(-15125) == [(5, 3), (11, 2)]
     big = 10**9 + 7
     assert factorize(big * big * 2) == [(2, 1), (big, 2)]
+
+
+def test_factoring_past_an_empty_table_does_not_grow_it(fresh_sieve):
+    # 41^2 and 41 * 43 overshoot to n with c = 1, so the cycle split's
+    # backtrack loop runs
+    for n in (41**2, 41 * 43):
+        assert factorize(n) == _trial_factors(n), n
+    for p, q in ((999_983, 1_000_003), (10**9 + 7, 10**9 + 9)):
+        assert factorize(p * q) == [(p, 1), (q, 1)]
+        assert factorize(-(p * p) * q) == [(p, 2), (q, 1)]
+    n = 999_983 * 1_000_003
+    assert squarefree(n) and not squarefree(5 * n * n)
+    assert is_fundamental_discriminant(-4 * n)
+    assert distinct_prime_factors(n) == 2
+    assert len(arith._spf) == 0
 
 
 def test_factorize_rejects_zero():
@@ -165,17 +207,15 @@ def test_fundamental_discriminants(monkeypatch):
 @pytest.fixture
 def fresh_sieve(monkeypatch):
     monkeypatch.setattr(arith, "_spf", array("I"))
-    monkeypatch.setattr(arith, "_primes", [])
-    monkeypatch.setattr(arith, "_primes_end", 0)
 
 
 def test_factorize_reads_the_sieve_table(fresh_sieve):
     expected = {n: _trial_factors(n) for n in range(1, 20001)}
-    # from an empty table: small n read off the table the first factor
-    # grows, the rest by trial division
+    # from an empty table: every n is factored past it, and the table
+    # stays empty
     for n, factors in expected.items():
         assert factorize(n) == factorize(-n) == factors, n
-    assert 0 < len(arith._spf) <= 20000
+    assert len(arith._spf) == 0
     # once the table covers the range, every n is read off it
     smallest_prime_factors(20000)
     for n, factors in expected.items():
@@ -231,11 +271,11 @@ def _count_factorize(monkeypatch, *modules):
 def test_squarefree_walks_the_sieve_table(fresh_sieve, monkeypatch):
     expected = {n: _squarefree_by_trial(n) for n in range(1, 20001)}
     calls = _count_factorize(monkeypatch, arith)
-    # from an empty table: small n walk the table the first factorization
-    # grows, the rest are factorized
+    # from an empty table: every n is factorized, and the table stays
+    # empty
     for n, flag in expected.items():
         assert squarefree(n) == squarefree(-n) == flag, n
-    assert calls and 0 < len(arith._spf) <= 20000
+    assert len(calls) == 2 * len(expected) and len(arith._spf) == 0
     # once the table covers the range, no n is factorized
     smallest_prime_factors(20000)
     calls.clear()

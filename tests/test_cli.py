@@ -80,6 +80,11 @@ _BAD_INVOCATIONS = [
     (["cubic-tab", "--x", "30", "--w", "1"], "unrecognized arguments: --x --w\n"),
     (["cubic-tab", "--xmax", "30", "--w", "1"], "unrecognized arguments: --w 1"),
     (["classgroup", "--dma", "50"], "unrecognized arguments: --dma\n"),
+    # psi_12 passes Miller-Rabin to the bases 2 to 37, and is composite
+    (
+        ["predict", "--ell", "3317044064679887385961981", "--d", "-4"],
+        "3317044064679887385961981 is not an odd prime",
+    ),
 ]
 
 
@@ -383,8 +388,6 @@ def test_scoped_commands_test_discriminants_off_the_sieve(capsys, monkeypatch, a
     # discriminant test walks the table the command sizes once, so the
     # squarefree path never factorizes
     monkeypatch.setattr(arith, "_spf", array("I"))
-    monkeypatch.setattr(arith, "_primes", [])
-    monkeypatch.setattr(arith, "_primes_end", 0)
     calls = []
     real = arith.factorize
     monkeypatch.setattr(arith, "factorize", lambda n: calls.append(n) or real(n))

@@ -711,6 +711,29 @@ def test_a_failing_worker_raises_and_leaves_no_child(monkeypatch, capfd):
     _assert_no_child_left()
 
 
+def test_a_failing_worker_stops_the_others_at_once(monkeypatch, capfd):
+    # the negative side's a = 1 job fails while every other job sleeps:
+    # the run raises as soon as the failure arrives, without waiting for
+    # the other child to work through the queue
+    def walk(xmax, a, modulus):
+        time.sleep(20)
+        return array("q")
+
+    def failing(xmax, a, modulus):
+        if a == 1:
+            raise RuntimeError("walk failed at a = 1")
+        return walk(xmax, a, modulus)
+
+    monkeypatch.setattr(cubicforms, "_real_walk", walk)
+    monkeypatch.setattr(cubicforms, "_complex_walk", failing)
+    start = time.monotonic()
+    with pytest.raises(ChildProcessError, match="exited with 1$"):
+        enumerate_cubic_fields(2000, workers=2)
+    assert time.monotonic() - start < 10
+    _assert_no_child_left()
+    assert "RuntimeError: walk failed at a = 1" in capfd.readouterr().err
+
+
 def test_a_parent_that_raises_while_counting_leaves_no_child(monkeypatch):
     # the first job's 256 fields of one discriminant overflow its count
     # while the other children still walk; they are killed, not awaited
