@@ -18,7 +18,7 @@ from operator import itemgetter
 
 # each runner imports the layers it uses when it starts, so a command
 # compiles and loads only those
-from .arith import fundamental_discriminants, smallest_prime_factors
+from .arith import _SIEVE_CEILING, fundamental_discriminants, smallest_prime_factors
 
 # far above any core count the enumeration can use; a larger value is a
 # typo, and each worker is a process with its own sieve
@@ -67,16 +67,16 @@ class _CommandParser(_Parser):
         super().error(message)
 
 
-def _bounded(name: str, high: int | None = None):
-    # an argparse type for an int option from 1 to high, or with no upper
+def _bounded(name: str, high: int | None = None, low: int = 1):
+    # an argparse type for an int option from low to high, or with no upper
     # bound when high is None, that refuses other values by the option's name
     def convert(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < 1 or (high is not None and value > high):
-            bound = "positive" if high is None else f"between 1 and {high}, got {value}"
+        if value < low or (high is not None and value > high):
+            bound = "positive" if high is None else f"between {low} and {high}, got {value}"
             raise argparse.ArgumentTypeError(f"{name} must be {bound}")
         return value
 
@@ -99,7 +99,12 @@ def _build_parser() -> _Parser:
     def common(p, *, scope=False, workers=False):
         if scope:
             grp = p.add_mutually_exclusive_group(required=True)
-            grp.add_argument("--d", type=int, help="single fundamental discriminant")
+            # a walk costs O(|d|), and every --dmax is bounded by the sieve
+            grp.add_argument(
+                "--d",
+                type=_bounded("d", _SIEVE_CEILING, low=-_SIEVE_CEILING),
+                help="single fundamental discriminant",
+            )
             grp.add_argument(
                 "--dmax", type=_bounded("dmax"), help="all fundamental 1 < |D| <= dmax"
             )
@@ -153,8 +158,9 @@ def _build_parser() -> _Parser:
         format="json",
     )
     p.add_argument("--table", required=True, help="CSV field table path")
-    p.add_argument("--ell", type=int)
-    p.add_argument("--corollary5", action="store_true")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--ell", type=int)
+    mode.add_argument("--corollary5", action="store_true")
     p.add_argument("--assume-complete-below", type=_bounded("assume_complete_below"))
     common(p, scope=True)
 
@@ -363,15 +369,7 @@ def main(argv: list[str] | None = None) -> int:
     is built in full, so a run that raises part-way writes nothing, and
     --out replaces its file whole (see _write_out)."""
     try:
-        parser = _build_parser()
-        args = parser.parse_args(argv)
-        # the two rules between check-table's options that argparse
-        # cannot state
-        if args.command == "check-table":
-            if args.ell is None and not args.corollary5:
-                parser.error("check-table needs --ell or --corollary5")
-            if args.corollary5 and args.ell not in (None, 5):
-                parser.error("--corollary5 requires --ell 5")
+        args = _build_parser().parse_args(argv)
         rows = args.runner(args)
         verdicts: set = set()
         if "verdict" in args.columns:

@@ -99,6 +99,13 @@ def test_is_prime_agrees_with_sympy_past_the_proven_bound():
         assert is_prime(n) == sympy.isprime(n), n
 
 
+def test_strong_lucas_agrees_with_sympy():
+    # the range holds squares and multiples of a Selfridge D, so both
+    # early exits run, as well as the full test
+    for n in range(39, 20002, 2):
+        assert arith._strong_lucas(n) == sympy.ntheory.primetest.is_strong_lucas_prp(n), n
+
+
 def _product(factors):
     out = 1
     for p, e in factors:

@@ -45,7 +45,10 @@ _BAD_INVOCATIONS = [
     (["predict", "--ell", "7", "--corollary5", "--d", "-3"], "unrecognized arguments"),
     (["predict", "--ell", "5", "--corollary5", "--d", "-47"], "unrecognized arguments"),
     (["corollary5", "--d", "-15"], "not coprime to 5"),
-    (["check-table", "--table", "x.csv", "--d", "-3"], "needs --ell or --corollary5"),
+    (
+        ["check-table", "--table", "x.csv", "--d", "-3"],
+        "one of the arguments --ell --corollary5 is required",
+    ),
     (
         ["check-table", "--table", "/no/such/file.csv", "--ell", "5", "--d", "-3"],
         "No such file or directory",
@@ -65,7 +68,7 @@ _BAD_INVOCATIONS = [
     (["check-table", "--ell", "5", "--d", "-3"], "required: --table"),
     (
         ["check-table", "--table", "t.csv", "--ell", "7", "--corollary5", "--d", "-3"],
-        "--corollary5 requires --ell 5",
+        "argument --corollary5: not allowed with argument --ell",
     ),
     (
         ["check-table", "--table", str(FIXTURE), "--corollary5", "--d", "-3",
@@ -84,6 +87,26 @@ _BAD_INVOCATIONS = [
     (
         ["predict", "--ell", "3317044064679887385961981", "--d", "-4"],
         "3317044064679887385961981 is not an odd prime",
+    ),
+    # --corollary5 is the ell = 5 mode, with no second spelling
+    (
+        ["check-table", "--table", "t.csv", "--ell", "5", "--corollary5", "--d", "-3"],
+        "argument --corollary5: not allowed with argument --ell",
+    ),
+    # a walk costs O(|d|), so --d is bounded as every --dmax is
+    (
+        ["classgroup", "--d", "99999999999999999999999999999999999999997"],
+        "argument --d: d must be between -4294967295 and 4294967295",
+    ),
+    (
+        ["predict", "--ell", "3", "--d", "-99999999999999999999999999999999999999"],
+        "argument --d: d must be between -4294967295 and 4294967295",
+    ),
+    (["corollary5", "--d", "4294967296"], "got 4294967296"),
+    (["verify-on", "--dmax", "ten"], "argument --dmax: invalid int value: 'ten'"),
+    (
+        ["cubic-tab", "--xmax", "10", "--workers", "two"],
+        "argument --workers: invalid int value: 'two'",
     ),
 ]
 
@@ -111,9 +134,11 @@ def test_bad_invocations_exit_1(capsys, argv, fragment):
             {"ell": None, "corollary5": True, "dmax": 100, "d": None},
         ),
         (
-            ["check-table", "--table", "t.csv", "--ell", "5", "--corollary5", "--d", "-3"],
-            {"ell": 5, "corollary5": True, "format": "json"},
+            ["check-table", "--table", "t.csv", "--ell", "5", "--d", "-3"],
+            {"ell": 5, "corollary5": False, "format": "json"},
         ),
+        (["classgroup", "--d", "-4294967291"], {"d": -4294967291}),
+        (["classgroup", "--d", "4294967295"], {"d": 4294967295}),
         (["corollary5", "--d", "-3"], {"ell": 5, "corollary5": True}),
         (["predict", "--ell", "7", "--d", "-3"], {"corollary5": False, "out": None}),
     ],
@@ -323,20 +348,6 @@ def test_each_command_loads_only_the_layers_it_runs():
         assert layers_after(argv) == expected(predicting, False, True), argv
     argv = ["check-table", "--table", str(FIXTURE), "--corollary5", "--dmax", "100"]
     assert layers_after(argv) == expected([*predicting, "fieldtables"], True, True)
-
-
-def test_every_public_name_resolves():
-    # the package binds its names on first access, from the module that
-    # defines each
-    import reflectron
-
-    for name in reflectron.__all__:
-        value = getattr(reflectron, name)
-        assert value.__module__ == f"reflectron.{reflectron._MODULES[name]}", name
-    assert len(set(reflectron.__all__)) == len(reflectron.__all__)
-    assert "class_groups" in reflectron.__all__
-    with pytest.raises(AttributeError):
-        reflectron.no_such_name
 
 
 @pytest.mark.parametrize(
